@@ -146,8 +146,8 @@ def run_loop_latency(seed: int = 0, **kwargs) -> ExperimentResult:
 
 def _collapse_plan():
     """The spec's cdn1-uplink-collapse plan at default parameters."""
-    spec = load_library_spec("cdn-fault")
-    (plan,) = spec.fault_plans(spec.resolved_params())
+    spec, topology = load_library_spec("cdn-fault").resolve()
+    (plan,) = spec.fault_plans(topology)
     return plan
 
 

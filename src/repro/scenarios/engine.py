@@ -20,7 +20,7 @@ consume their RNG streams once an experiment launches them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.cdn.content import ContentCatalog
 from repro.cdn.origin import Origin
@@ -30,14 +30,14 @@ from repro.core.context import SimContext, build_context
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.network.fluidsim import FluidNetwork
-from repro.network.topology import Topology
+from repro.network.topology import NodeKind, Topology
 from repro.obs.trace import TRACER
 from repro.scenarios.schema import (
-    GroupPlan,
+    CdnSpec,
+    NodeDirective,
     ScenarioError,
     ScenarioSpec,
-    _resolve_int,
-    _resolve_number,
+    TopologyPlan,
 )
 from repro.sdn.te import EgressGroup
 from repro.simkernel.kernel import Simulator
@@ -152,15 +152,16 @@ class ScenarioWorld:
     The generic face of the subsystem: experiments either consume this
     directly (the fleet workloads do) or through a typed bundle adapter
     (:mod:`repro.scenarios.bundles`, the migrated legacy scenarios).
+    ``spec`` is the resolved spec (every ``$param`` substituted) and
+    ``plan`` its expanded topology, which answers group and link
+    lookups.
     """
 
     spec: ScenarioSpec
-    params: Dict[str, Any]
+    plan: TopologyPlan
     ctx: SimContext
     catalog: Optional[ContentCatalog] = None
     cdns: Dict[str, Cdn] = field(default_factory=dict)
-    groups: Dict[str, GroupPlan] = field(default_factory=dict)
-    aliases: Dict[str, str] = field(default_factory=dict)
     egress: List[EgressGroup] = field(default_factory=list)
     radios: List[RadioModel] = field(default_factory=list)
     browsers: List[Browser] = field(default_factory=list)
@@ -168,6 +169,11 @@ class ScenarioWorld:
     populations: Dict[str, Population] = field(default_factory=dict)
     fault_plans: List[FaultPlan] = field(default_factory=list)
     injector: Optional[FaultInjector] = None
+
+    @property
+    def params(self) -> Dict[str, Any]:
+        """The parameter values this world was compiled with."""
+        return self.spec.params
 
     @property
     def sim(self) -> Simulator:
@@ -187,28 +193,13 @@ class ScenarioWorld:
 
     def link_id(self, ref: str) -> str:
         """Resolve a link alias (or pass through a canonical id)."""
-        if ref in self.aliases:
-            return self.aliases[ref]
-        try:
-            self.topology.link(ref)
-            return ref
-        except KeyError:
-            known = ", ".join(sorted(self.aliases)) or "none"
-            raise ScenarioError(f"unknown link {ref!r} (aliases: {known})") from None
+        return self.plan.resolve_link(ref, f"scenario {self.spec.name!r}")
 
     def group_nodes(self, name: str) -> List[str]:
-        if name not in self.groups:
-            raise ScenarioError(
-                f"unknown group {name!r} (known: {', '.join(sorted(self.groups))})"
-            )
-        return list(self.groups[name].nodes)
+        return list(self.plan.group(name, f"scenario {self.spec.name!r}").nodes)
 
     def group_links(self, name: str) -> List[str]:
-        if name not in self.groups:
-            raise ScenarioError(
-                f"unknown group {name!r} (known: {', '.join(sorted(self.groups))})"
-            )
-        return list(self.groups[name].links)
+        return list(self.plan.group(name, f"scenario {self.spec.name!r}").links)
 
     def population(self, name: str) -> Population:
         if name not in self.populations:
@@ -219,46 +210,25 @@ class ScenarioWorld:
         return self.populations[name]
 
 
-def _expand_servers(
-    cdn_name: str,
-    spec: ScenarioSpec,
-    world: ScenarioWorld,
-    params: Mapping[str, Any],
-) -> List[CdnServer]:
+def _servers(cdn_spec: CdnSpec, plan: TopologyPlan) -> List[CdnServer]:
+    """A resolved CDN's servers, group-declared ones expanded per member."""
     servers: List[CdnServer] = []
-    (cdn_spec,) = [cdn for cdn in spec.cdns if cdn.name == cdn_name]
     for server in cdn_spec.servers:
-        capacity = _resolve_int(
-            server.capacity_sessions, params, "capacity_sessions", minimum=1
-        )
-        cache = _resolve_number(server.cache_mbit, params, "cache_mbit", positive=True)
-        degraded = (
-            None
-            if server.degraded_rate_mbps is None
-            else _resolve_number(
-                server.degraded_rate_mbps, params, "degraded_rate_mbps", positive=True
-            )
-        )
         if server.group:
-            for index, node in enumerate(world.group_nodes(server.group)):
-                server_id = server.id_format.format(node=node, index=index)
-                servers.append(
-                    CdnServer(
-                        server_id,
-                        node,
-                        capacity_sessions=capacity,
-                        cache_mbit=cache,
-                        degraded_rate_mbps=degraded,
-                    )
-                )
+            placements = [
+                (server.id_format.format(node=node, index=index), node)
+                for index, node in enumerate(plan.groups[server.group].nodes)
+            ]
         else:
+            placements = [(server.server_id, server.node)]
+        for server_id, node in placements:
             servers.append(
                 CdnServer(
-                    server.server_id,
-                    server.node,
-                    capacity_sessions=capacity,
-                    cache_mbit=cache,
-                    degraded_rate_mbps=degraded,
+                    server_id,
+                    node,
+                    capacity_sessions=server.capacity_sessions,
+                    cache_mbit=server.cache_mbit,
+                    degraded_rate_mbps=server.degraded_rate_mbps,
                 )
             )
     return servers
@@ -284,13 +254,12 @@ def compile_scenario(
             ``phase-transition`` trace events (no-op unless tracing is
             enabled -- same contract as :func:`trace_phases`).
     """
-    resolved = spec.resolved_params(params)
-    plan = spec.topology_plan(resolved)
+    spec, plan = spec.resolve(params)
 
     topo = Topology(plan.name)
-    for step_kind, step in plan.steps:
-        if step_kind == "node":
-            topo.add_node(step.node_id, step.kind, owner=step.owner, tags=step.tags)
+    for step in plan.steps:
+        if isinstance(step, NodeDirective):
+            topo.add_node(step.node_id, NodeKind(step.kind), owner=step.owner, tags=step.tags)
         else:
             topo.add_link(
                 step.src,
@@ -302,49 +271,34 @@ def compile_scenario(
             )
 
     ctx = build_context(topology=topo, seed=seed)
-    world = ScenarioWorld(
-        spec=spec,
-        params=dict(resolved),
-        ctx=ctx,
-        groups={name: group for name, group in plan.groups.items()},
-        aliases=dict(plan.aliases),
-    )
+    world = ScenarioWorld(spec=spec, plan=plan, ctx=ctx)
 
     if spec.catalog is not None:
         world.catalog = ContentCatalog(
-            n_items=_resolve_int(spec.catalog.items, resolved, "catalog.items", minimum=1),
-            duration_s=_resolve_number(
-                spec.catalog.duration_s, resolved, "catalog.duration_s", positive=True
-            ),
-            zipf_alpha=_resolve_number(
-                spec.catalog.zipf_alpha, resolved, "catalog.zipf_alpha", minimum=0
-            ),
+            n_items=spec.catalog.items,
+            duration_s=spec.catalog.duration_s,
+            zipf_alpha=spec.catalog.zipf_alpha,
         )
 
     for cdn_spec in spec.cdns:
         cdn = Cdn(
             cdn_spec.name,
-            _expand_servers(cdn_spec.name, spec, world, resolved),
+            _servers(cdn_spec, plan),
             origin=Origin(cdn_spec.origin) if cdn_spec.origin else None,
             ctx=ctx,
         )
         if cdn_spec.warm_top_fraction is not None:
-            cdn.warm_caches(
-                world.catalog,
-                top_fraction=_resolve_number(
-                    cdn_spec.warm_top_fraction, resolved, "warm_top_fraction", minimum=0
-                ),
-            )
+            cdn.warm_caches(world.catalog, top_fraction=cdn_spec.warm_top_fraction)
         world.cdns[cdn_spec.name] = cdn
 
-    for egress_spec in spec.egress:
+    for index, egress_spec in enumerate(spec.egress):
         world.egress.append(
             EgressGroup(
                 name=egress_spec.name,
                 remote=egress_spec.remote,
                 candidates=list(egress_spec.candidates),
                 egress_links={
-                    peer: plan.resolve_link(ref, f"egress[{egress_spec.name}].links")
+                    peer: plan.resolve_link(ref, f"scenario.egress[{index}].links[{peer}]")
                     for peer, ref in egress_spec.links.items()
                 },
                 preferred=egress_spec.preferred or None,
@@ -356,12 +310,11 @@ def compile_scenario(
         clients = world.group_nodes(spec.web.clients)
         links = world.group_links(spec.web.clients)
         if spec.web.radio_tick_s is not None:
-            tick_s = _resolve_number(
-                spec.web.radio_tick_s, resolved, "web.radio_tick_s", positive=True
-            )
             for index, (node, link_id) in enumerate(zip(clients, links)):
                 rng = ctx.sim.rng.get(f"{spec.web.radio_stream}:{index}")
-                radio = RadioModel(ctx.sim, ctx.network, link_id, rng, tick_s=tick_s)
+                radio = RadioModel(
+                    ctx.sim, ctx.network, link_id, rng, tick_s=spec.web.radio_tick_s
+                )
                 world.radios.append(radio)
                 world.browsers.append(
                     Browser(
@@ -384,13 +337,9 @@ def compile_scenario(
                 )
 
     if with_phases and spec.phases:
-        transitions = {
-            phase.name: _resolve_number(phase.at_s, resolved, "phases.at_s", minimum=0)
-            for phase in spec.phases
-        }
-        trace_phases(ctx.sim, spec.name, transitions)
+        trace_phases(ctx.sim, spec.name, {phase.name: phase.at_s for phase in spec.phases})
 
-    world.fault_plans = spec.fault_plans(resolved, plan=plan)
+    world.fault_plans = spec.fault_plans(plan)
     if install_faults and world.fault_plans:
         world.injector = FaultInjector(ctx)
         for fault_plan in world.fault_plans:
@@ -403,27 +352,9 @@ def compile_scenario(
             process=population_spec.process,
             mode=population_spec.mode,
             nodes=world.group_nodes(population_spec.group),
-            rate={
-                key: _resolve_number(
-                    value, resolved, f"populations.{population_spec.name}.rate.{key}",
-                    minimum=0,
-                )
-                for key, value in population_spec.rate.items()
-            },
-            until_s=(
-                None if population_spec.until_s is None
-                else _resolve_number(
-                    population_spec.until_s, resolved,
-                    f"populations.{population_spec.name}.until_s", minimum=0,
-                )
-            ),
-            max_sessions=(
-                None if population_spec.max_sessions is None
-                else _resolve_int(
-                    population_spec.max_sessions, resolved,
-                    f"populations.{population_spec.name}.max_sessions", minimum=1,
-                )
-            ),
+            rate=dict(population_spec.rate),
+            until_s=population_spec.until_s,
+            max_sessions=population_spec.max_sessions,
         )
 
     return world

@@ -2,68 +2,68 @@
 
 A scenario spec is pure data -- ordered topology build directives, CDN
 placement, session populations with arrival processes, phase timelines,
-and fault plans -- validated structurally at parse time (unknown keys
-are errors, with the offending path in the message) and referentially
-by :meth:`ScenarioSpec.validate` (dangling node/link/group references,
-overlapping phases, malformed fault events).  The engine
-(:mod:`repro.scenarios.engine`) compiles a spec into a live world; this
-module never touches the simulator, so specs can be validated anywhere
-(CLI, CI) without building anything.
+and fault plans.  The engine (:mod:`repro.scenarios.engine`) compiles a
+spec into a live world; this module never touches the simulator, so
+specs can be validated anywhere (CLI, CI) without building anything.
 
-Parameterisation: a spec declares named defaults under ``params`` and
-any numeric field may reference one as ``"$name"``; resolution happens
-at validate/compile time, so one committed spec serves a whole family
-of worlds (``build_scenario("flash-crowd", params={"n_clients": 50})``).
+**One parse.**  Every spec class is a frozen dataclass, read and written
+by one field-driven walker (:func:`_parse` / :func:`_dump`).  A field's
+YAML key is its name unless ``metadata["key"]`` renames it; its type is
+its annotation (strings, tags and string maps are coerced by
+:func:`repro.core.schemas.coerce_value`, nested spec classes recurse,
+:data:`Num` fields take a number or a ``"$param"`` reference); fields
+without a default are required and non-empty; ``metadata["choices"]``
+restricts a string; unknown keys are errors.  The few cross-field rules
+live in each class's ``_check``.
+
+**One resolve.**  :meth:`ScenarioSpec.resolve` substitutes every
+``$param``, checks every numeric bound -- declared on the field as
+``positive``/``minimum``/``integer`` metadata -- expands the topology
+into a :class:`TopologyPlan` and checks every cross-reference.
+``validate()`` is ``resolve()`` at the declared defaults and the engine
+compiles from ``resolve(overrides)``, so a run with overrides gets
+exactly the checks ``eona scenarios validate`` applies.  Every error is a
+:class:`ScenarioError` naming the spec path
+(``scenario.cdns[0].servers[1].cache_mbit: must be > 0, got -5``).
 
 Determinism contract: the ``build`` list is *ordered* and the engine
 replays it verbatim -- node and link insertion order pins RNG stream
 identities and event tie-breaking, which is what lets a declarative
-twin reproduce a hand-coded world byte-for-byte (the PR's equivalence
-gate).  Auto link ids follow the topology convention ``"src->dst"``,
-so fault targets and egress links resolve statically, without a world.
+twin reproduce a hand-coded world byte-for-byte.  Numbers keep the type
+they were written with.  Auto link ids follow the topology convention
+``"src->dst"``, so fault targets and egress links resolve statically.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import typing
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.faults.plan import FaultEvent, FaultPlan
+from repro.core.schemas import SchemaError, coerce_value
+from repro.faults.plan import FaultEvent, FaultPlan, get_plan
 from repro.network.topology import NodeKind
 
 __all__ = [
-    "ScenarioError",
-    "ScenarioSpec",
-    "TopologySpec",
-    "NodeDirective",
-    "LinkDirective",
-    "GroupDirective",
-    "CatalogSpec",
-    "ServerSpec",
-    "CdnSpec",
-    "EgressSpec",
-    "WebSpec",
-    "PopulationSpec",
-    "PhaseSpec",
-    "FaultEventSpec",
-    "FaultPlanSpec",
-    "TopologyPlan",
+    "ScenarioError", "ScenarioSpec", "TopologySpec", "NodeDirective",
+    "LinkDirective", "GroupDirective", "CatalogSpec", "ServerSpec", "CdnSpec",
+    "EgressSpec", "WebSpec", "PopulationSpec", "PhaseSpec", "FaultEventSpec",
+    "FaultPlanSpec", "TopologyPlan",
 ]
 
 #: Fault kinds a spec may declare inline.  Only link faults resolve
 #: statically (link ids are derivable from the topology section); glass
 #: and provider faults need live objects, so they arrive via ``use:``
-#: references into the named-plan registry (PR 5).
+#: references into the named-plan registry.
 INLINE_FAULT_KINDS: Tuple[str, ...] = ("link-cut", "link-kill", "link-restore")
 
 #: Arrival processes a population may declare, with (required, optional)
 #: rate keys.  Mirrors repro.workloads.arrivals.
 PROCESS_KINDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     "poisson": (("rate_per_s",), ()),
-    "flash-crowd": (
-        ("base_per_s", "peak_per_s", "onset_s", "ramp_s", "duration_s"),
-        (),
-    ),
+    "flash-crowd": (("base_per_s", "peak_per_s", "onset_s", "ramp_s", "duration_s"), ()),
     "diurnal": (("mean_per_s",), ("amplitude", "period_s", "peak_at_s")),
 }
 
@@ -72,18 +72,77 @@ PROCESS_KINDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
 #: (BatchedPoissonArrivals / CohortEngine, DESIGN.md §11).
 POPULATION_MODES: Tuple[str, ...] = ("sessions", "cohort")
 
-_NODE_KINDS: Dict[str, NodeKind] = {kind.value: kind for kind in NodeKind}
+_NODE_KINDS: Tuple[str, ...] = tuple(kind.value for kind in NodeKind)
 
-_LINK_DIRECTIONS: Tuple[str, ...] = ("to-member", "from-member")
+#: A numeric spec field: a literal (kept as written, ``5`` stays an int)
+#: or a ``"$param"`` reference until :meth:`ScenarioSpec.resolve`.
+Num = Union[int, float, str]
 
 
 class ScenarioError(ValueError):
     """A malformed scenario spec; the message carries the spec path."""
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _field(default: Any = dataclasses.MISSING, **metadata: Any) -> Any:
+    """A spec field; see the module docstring for the metadata keys."""
+    return field(default=default, metadata=metadata)
+
+
 # ---------------------------------------------------------------------------
-# parse helpers (structural validation)
+# the field-driven walker
 # ---------------------------------------------------------------------------
+
+class _Spec:
+    """Mixin: the generic parse/dump every spec class shares."""
+
+    #: Non-empty for build directives: the one key wrapping each entry.
+    tag: ClassVar[str] = ""
+
+    @classmethod
+    def from_dict(cls, data: Any) -> Any:
+        """Parse ``data``; error paths are rooted at ``scenario``."""
+        return _parse(cls, data, "scenario")
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The canonical dict form; ``from_dict`` round-trips it exactly."""
+        return _dump(self)
+
+    def _check(self, where: str) -> None:
+        """Cross-field rules of this class, run once it is parsed."""
+
+
+@dataclass(frozen=True)
+class _Slot:
+    """One spec field as the walker sees it (computed once per class)."""
+
+    name: str
+    key: str
+    hint: Any  # the annotation, ``Optional`` stripped
+    default: Any  # MISSING for a required field
+    meta: Mapping[str, Any]
+
+
+@functools.lru_cache(maxsize=None)
+def _slots(cls: type) -> Tuple[_Slot, ...]:
+    hints = typing.get_type_hints(cls)
+    slots = []
+    for spec_field in dataclasses.fields(cls):
+        hint = hints[spec_field.name]
+        args = typing.get_args(hint)
+        if typing.get_origin(hint) is Union and type(None) in args:
+            rest = tuple(arg for arg in args if arg is not type(None))
+            hint = rest[0] if len(rest) == 1 else Union[rest]
+        default = spec_field.default
+        if spec_field.default_factory is not dataclasses.MISSING:
+            default = spec_field.default_factory()
+        key = spec_field.metadata.get("key", spec_field.name)
+        slots.append(_Slot(spec_field.name, key, hint, default, spec_field.metadata))
+    return tuple(slots)
+
 
 def _mapping(value: Any, where: str) -> Mapping[str, Any]:
     if not isinstance(value, Mapping):
@@ -94,135 +153,157 @@ def _mapping(value: Any, where: str) -> Mapping[str, Any]:
     return value
 
 
-def _take(
-    value: Any,
-    where: str,
-    required: Sequence[str] = (),
-    optional: Sequence[str] = (),
-) -> Dict[str, Any]:
-    """Destructure a mapping, rejecting unknown and missing keys."""
-    data = _mapping(value, where)
-    known = set(required) | set(optional)
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ScenarioError(
-            f"{where}: unknown key(s) {', '.join(map(repr, unknown))}"
-            f" (known: {', '.join(sorted(known))})"
-        )
-    missing = sorted(set(required) - set(data))
-    if missing:
-        raise ScenarioError(f"{where}: missing required key(s) {', '.join(missing)}")
-    return dict(data)
-
-
-def _string(value: Any, where: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise ScenarioError(f"{where}: expected a non-empty string, got {value!r}")
+def _sequence(value: Any, where: str) -> Any:
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioError(f"{where}: expected a list, got {value!r}")
     return value
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _parse(cls: type, data: Any, where: str) -> Any:
+    """Build one spec class from its YAML mapping."""
+    data = _mapping(data, where)
+    slots = _slots(cls)
+    unknown = sorted(set(data) - {slot.key for slot in slots})
+    if unknown:
+        raise ScenarioError(
+            f"{where}: unknown key(s) {', '.join(map(repr, unknown))}"
+            f" (known: {', '.join(sorted(slot.key for slot in slots))})"
+        )
+    required = {slot.key for slot in slots if slot.default is dataclasses.MISSING}
+    missing = sorted(required - set(data))
+    if missing:
+        raise ScenarioError(f"{where}: missing required key(s) {', '.join(missing)}")
+    values = {}
+    for slot in slots:
+        if data.get(slot.key) is None and slot.key not in required:
+            continue
+        path = f"{where}.{slot.key}"
+        value = _parse_value(data[slot.key], slot.hint, path)
+        if slot.key in required and isinstance(value, (str, tuple)) and not value:
+            raise ScenarioError(f"{path}: must not be empty")
+        choices = slot.meta.get("choices")
+        if choices and value not in choices:
+            raise ScenarioError(f"{path}: unknown value {value!r} (known: {', '.join(choices)})")
+        values[slot.name] = value
+    spec = cls(**values)
+    spec._check(where)
+    return spec
 
 
-def _number_or_ref(value: Any, where: str) -> Any:
-    """A numeric literal (kept as parsed: int stays int) or a ``$param``."""
-    if _is_number(value):
-        return value
-    if isinstance(value, str) and value.startswith("$") and len(value) > 1:
-        return value
-    raise ScenarioError(
-        f"{where}: expected a number or a '$param' reference, got {value!r}"
-    )
+def _parse_value(value: Any, hint: Any, where: str) -> Any:
+    if hint == Num:
+        if _is_number(value) or (isinstance(value, str) and value[:1] == "$" and value[1:]):
+            return value
+        raise ScenarioError(f"{where}: expected a number or a '$param' reference, got {value!r}")
+    if isinstance(hint, type) and issubclass(hint, _Spec):
+        return _parse(hint, value, where)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple and typing.get_origin(args[0]) is Union:  # tagged directives
+        by_tag = {cls.tag: cls for cls in typing.get_args(args[0])}
+        entries = []
+        for index, entry in enumerate(_sequence(value, where)):
+            entry_where = f"{where}[{index}]"
+            tags = list(_mapping(entry, entry_where))
+            if len(tags) != 1 or tags[0] not in by_tag:
+                known = ", ".join(sorted(by_tag))
+                raise ScenarioError(f"{entry_where}: expected exactly one of {known}, got {tags}")
+            entries.append(_parse(by_tag[tags[0]], entry[tags[0]], f"{entry_where}.{tags[0]}"))
+        return tuple(entries)
+    if origin is tuple and issubclass(args[0], _Spec):
+        return tuple(
+            _parse(args[0], item, f"{where}[{index}]")
+            for index, item in enumerate(_sequence(value, where))
+        )
+    if origin is dict and args[1] == Num:
+        return {
+            key: _parse_value(item, Num, f"{where}.{key}")
+            for key, item in _mapping(value, where).items()
+        }
+    try:
+        return coerce_value(value, hint)
+    except SchemaError as error:
+        raise ScenarioError(f"{where}: {error}") from None
 
 
-def _tags(value: Any, where: str) -> Tuple[str, ...]:
-    if value is None:
-        return ()
-    if not isinstance(value, (list, tuple)):
-        raise ScenarioError(f"{where}: expected a list of strings, got {value!r}")
-    return tuple(_string(item, where) for item in value)
+def _dump(value: Any) -> Any:
+    """The inverse of :func:`_parse`; fields at their default are omitted."""
+    if isinstance(value, _Spec):
+        data = {}
+        for slot in _slots(type(value)):
+            item = getattr(value, slot.name)
+            if item != slot.default or type(item) is not type(slot.default):
+                data[slot.key] = _dump(item)
+        return data
+    if isinstance(value, (list, tuple)):
+        return [{item.tag: _dump(item)} if getattr(item, "tag", "") else _dump(item)
+                for item in value]
+    if isinstance(value, Mapping):
+        return {key: _dump(item) for key, item in value.items()}
+    return value
 
 
-def _resolve(value: Any, params: Mapping[str, Any], where: str) -> Any:
-    """Substitute a ``$param`` reference; literals pass through."""
-    if isinstance(value, str) and value.startswith("$"):
-        name = value[1:]
-        if name not in params:
+def _substitute(value: Any, params: Mapping[str, Any], meta: Mapping[str, Any], where: str) -> Any:
+    """Replace a ``$param`` and check the field's declared bound."""
+    if isinstance(value, str):
+        if value[1:] not in params:
             raise ScenarioError(
                 f"{where}: unknown parameter {value!r}"
                 f" (declared: {', '.join(sorted(params)) or 'none'})"
             )
-        return params[name]
+        value = params[value[1:]]
+    if meta.get("integer") and not isinstance(value, int):
+        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
+    if meta.get("positive") and value <= 0:
+        raise ScenarioError(f"{where}: must be > 0, got {value!r}")
+    minimum = meta.get("minimum")
+    if minimum is not None and value < minimum:
+        raise ScenarioError(f"{where}: must be >= {minimum}, got {value!r}")
     return value
 
 
-def _resolve_number(
-    value: Any,
-    params: Mapping[str, Any],
-    where: str,
-    minimum: Optional[float] = None,
-    positive: bool = False,
-) -> Any:
-    resolved = _resolve(value, params, where)
-    if not _is_number(resolved):
-        raise ScenarioError(f"{where}: expected a number, got {resolved!r}")
-    if positive and resolved <= 0:
-        raise ScenarioError(f"{where}: must be > 0, got {resolved!r}")
-    if minimum is not None and resolved < minimum:
-        raise ScenarioError(f"{where}: must be >= {minimum}, got {resolved!r}")
-    return resolved
-
-
-def _resolve_int(value: Any, params: Mapping[str, Any], where: str, minimum: int = 0) -> int:
-    resolved = _resolve(value, params, where)
-    if not isinstance(resolved, int) or isinstance(resolved, bool):
-        raise ScenarioError(f"{where}: expected an integer, got {resolved!r}")
-    if resolved < minimum:
-        raise ScenarioError(f"{where}: must be >= {minimum}, got {resolved!r}")
-    return resolved
+def _resolve(spec: Any, params: Mapping[str, Any], where: str) -> Any:
+    """A copy of ``spec`` with every :data:`Num` substituted and bounded."""
+    changes = {}
+    for slot in _slots(type(spec)):
+        value = getattr(spec, slot.name)
+        path = f"{where}.{slot.key}"
+        if value is None:
+            continue
+        if slot.hint == Num:
+            changes[slot.name] = _substitute(value, params, slot.meta, path)
+        elif isinstance(value, _Spec):
+            changes[slot.name] = _resolve(value, params, path)
+        elif isinstance(value, tuple) and value and isinstance(value[0], _Spec):
+            changes[slot.name] = tuple(
+                _resolve(item, params, f"{path}[{index}].{item.tag}".rstrip("."))
+                for index, item in enumerate(value)
+            )
+        elif isinstance(value, dict) and typing.get_args(slot.hint)[1] == Num:
+            changes[slot.name] = {
+                key: _substitute(item, params, slot.meta, f"{path}.{key}")
+                for key, item in value.items()
+            }
+    return dataclasses.replace(spec, **changes)
 
 
 # ---------------------------------------------------------------------------
-# topology directives
+# the spec classes
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class NodeDirective:
+class NodeDirective(_Spec):
     """``{node: {id, kind, owner, tags}}`` -- one topology node."""
 
-    node_id: str
-    kind: str = "router"
+    tag: ClassVar[str] = "node"
+
+    node_id: str = _field(key="id")
+    kind: str = _field("router", choices=_NODE_KINDS)
     owner: str = ""
     tags: Tuple[str, ...] = ()
 
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "NodeDirective":
-        fields_ = _take(data, where, required=("id",), optional=("kind", "owner", "tags"))
-        kind = fields_.get("kind", "router")
-        if kind not in _NODE_KINDS:
-            raise ScenarioError(
-                f"{where}: unknown node kind {kind!r}"
-                f" (known: {', '.join(sorted(_NODE_KINDS))})"
-            )
-        return NodeDirective(
-            node_id=_string(fields_["id"], f"{where}.id"),
-            kind=kind,
-            owner=str(fields_.get("owner", "")),
-            tags=_tags(fields_.get("tags"), f"{where}.tags"),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "id": self.node_id,
-            "kind": self.kind,
-            "owner": self.owner,
-            "tags": list(self.tags),
-        }
-
 
 @dataclass(frozen=True)
-class LinkDirective:
+class LinkDirective(_Spec):
     """``{link: {src, dst, capacity_mbps, ...}}`` -- one directed link.
 
     ``alias`` names the link for the rest of the spec (fault targets,
@@ -230,46 +311,23 @@ class LinkDirective:
     convention ``"src->dst"``.
     """
 
+    tag: ClassVar[str] = "link"
+
     src: str
     dst: str
-    capacity_mbps: Any
-    delay_ms: Any = 1.0
+    capacity_mbps: Num = _field(positive=True)
+    delay_ms: Num = _field(1.0, minimum=0)
     owner: str = ""
     tags: Tuple[str, ...] = ()
     alias: str = ""
 
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "LinkDirective":
-        fields_ = _take(
-            data,
-            where,
-            required=("src", "dst", "capacity_mbps"),
-            optional=("delay_ms", "owner", "tags", "alias"),
-        )
-        return LinkDirective(
-            src=_string(fields_["src"], f"{where}.src"),
-            dst=_string(fields_["dst"], f"{where}.dst"),
-            capacity_mbps=_number_or_ref(fields_["capacity_mbps"], f"{where}.capacity_mbps"),
-            delay_ms=_number_or_ref(fields_.get("delay_ms", 1.0), f"{where}.delay_ms"),
-            owner=str(fields_.get("owner", "")),
-            tags=_tags(fields_.get("tags"), f"{where}.tags"),
-            alias=str(fields_.get("alias", "")),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "src": self.src,
-            "dst": self.dst,
-            "capacity_mbps": self.capacity_mbps,
-            "delay_ms": self.delay_ms,
-            "owner": self.owner,
-            "tags": list(self.tags),
-            "alias": self.alias,
-        }
+    @property
+    def link_id(self) -> str:
+        return f"{self.src}->{self.dst}"
 
 
 @dataclass(frozen=True)
-class GroupDirective:
+class GroupDirective(_Spec):
     """``{group: {...}}`` -- a homogeneous population of attached nodes.
 
     Expands, *in order*, to ``count`` interleaved (node, link) pairs:
@@ -278,338 +336,93 @@ class GroupDirective:
     ``from-member`` gives member->attach, the server-uplink shape).
     """
 
+    tag: ClassVar[str] = "group"
+
     name: str
     prefix: str
-    count: Any
+    count: Num = _field(integer=True, minimum=1)
     attach: str
-    capacity_mbps: Any
-    delay_ms: Any = 5.0
-    kind: str = "client"
+    capacity_mbps: Num = _field(positive=True)
+    delay_ms: Num = _field(5.0, minimum=0)
+    kind: str = _field("client", choices=_NODE_KINDS)
     owner: str = ""
     link_owner: str = ""
     tags: Tuple[str, ...] = ()
-    direction: str = "to-member"
-
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "GroupDirective":
-        fields_ = _take(
-            data,
-            where,
-            required=("name", "prefix", "count", "attach", "capacity_mbps"),
-            optional=("delay_ms", "kind", "owner", "link_owner", "tags", "direction"),
-        )
-        kind = fields_.get("kind", "client")
-        if kind not in _NODE_KINDS:
-            raise ScenarioError(
-                f"{where}: unknown node kind {kind!r}"
-                f" (known: {', '.join(sorted(_NODE_KINDS))})"
-            )
-        direction = fields_.get("direction", "to-member")
-        if direction not in _LINK_DIRECTIONS:
-            raise ScenarioError(
-                f"{where}: direction must be one of {_LINK_DIRECTIONS}, got {direction!r}"
-            )
-        return GroupDirective(
-            name=_string(fields_["name"], f"{where}.name"),
-            prefix=_string(fields_["prefix"], f"{where}.prefix"),
-            count=_number_or_ref(fields_["count"], f"{where}.count"),
-            attach=_string(fields_["attach"], f"{where}.attach"),
-            capacity_mbps=_number_or_ref(fields_["capacity_mbps"], f"{where}.capacity_mbps"),
-            delay_ms=_number_or_ref(fields_.get("delay_ms", 5.0), f"{where}.delay_ms"),
-            kind=kind,
-            owner=str(fields_.get("owner", "")),
-            link_owner=str(fields_.get("link_owner", "")),
-            tags=_tags(fields_.get("tags"), f"{where}.tags"),
-            direction=direction,
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "prefix": self.prefix,
-            "count": self.count,
-            "attach": self.attach,
-            "capacity_mbps": self.capacity_mbps,
-            "delay_ms": self.delay_ms,
-            "kind": self.kind,
-            "owner": self.owner,
-            "link_owner": self.link_owner,
-            "tags": list(self.tags),
-            "direction": self.direction,
-        }
-
-
-_DIRECTIVE_TYPES = {
-    "node": NodeDirective,
-    "link": LinkDirective,
-    "group": GroupDirective,
-}
+    direction: str = _field("to-member", choices=("to-member", "from-member"))
 
 
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(_Spec):
     """The ordered build list; order is part of the determinism contract."""
 
-    build: Tuple[Any, ...]
+    build: Tuple[Union[NodeDirective, LinkDirective, GroupDirective], ...]
     name: str = ""
 
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "TopologySpec":
-        fields_ = _take(data, where, required=("build",), optional=("name",))
-        raw = fields_["build"]
-        if not isinstance(raw, (list, tuple)) or not raw:
-            raise ScenarioError(f"{where}.build: expected a non-empty list of directives")
-        directives = []
-        for index, entry in enumerate(raw):
-            entry_where = f"{where}.build[{index}]"
-            entry_map = _mapping(entry, entry_where)
-            if len(entry_map) != 1:
-                raise ScenarioError(
-                    f"{entry_where}: expected exactly one of"
-                    f" {', '.join(sorted(_DIRECTIVE_TYPES))}, got {sorted(entry_map)}"
-                )
-            (tag, body), = entry_map.items()
-            if tag not in _DIRECTIVE_TYPES:
-                raise ScenarioError(
-                    f"{entry_where}: unknown directive {tag!r}"
-                    f" (known: {', '.join(sorted(_DIRECTIVE_TYPES))})"
-                )
-            directives.append(_DIRECTIVE_TYPES[tag].from_dict(body, f"{entry_where}.{tag}"))
-        return TopologySpec(build=tuple(directives), name=str(fields_.get("name", "")))
-
-    def to_dict(self) -> Dict[str, Any]:
-        build = []
-        for directive in self.build:
-            if isinstance(directive, NodeDirective):
-                build.append({"node": directive.to_dict()})
-            elif isinstance(directive, LinkDirective):
-                build.append({"link": directive.to_dict()})
-            else:
-                build.append({"group": directive.to_dict()})
-        return {"name": self.name, "build": build}
-
-
-# ---------------------------------------------------------------------------
-# content, CDNs, egress, web
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CatalogSpec:
+class CatalogSpec(_Spec):
     """Mirrors :class:`repro.cdn.content.ContentCatalog`'s knobs."""
 
-    items: Any
-    duration_s: Any = 120.0
-    zipf_alpha: Any = 1.0
-
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "CatalogSpec":
-        fields_ = _take(data, where, required=("items",), optional=("duration_s", "zipf_alpha"))
-        return CatalogSpec(
-            items=_number_or_ref(fields_["items"], f"{where}.items"),
-            duration_s=_number_or_ref(fields_.get("duration_s", 120.0), f"{where}.duration_s"),
-            zipf_alpha=_number_or_ref(fields_.get("zipf_alpha", 1.0), f"{where}.zipf_alpha"),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "items": self.items,
-            "duration_s": self.duration_s,
-            "zipf_alpha": self.zipf_alpha,
-        }
+    items: Num = _field(integer=True, minimum=1)
+    duration_s: Num = _field(120.0, positive=True)
+    zipf_alpha: Num = _field(1.0, minimum=0)
 
 
 @dataclass(frozen=True)
-class ServerSpec:
+class ServerSpec(_Spec):
     """One CDN server -- explicit (``id`` + ``node``) or expanded over a
     topology group (``group`` + ``id_format``, ``{node}``/``{index}``
     placeholders)."""
 
-    server_id: str = ""
+    server_id: str = _field("", key="id")
     node: str = ""
     group: str = ""
     id_format: str = ""
-    capacity_sessions: Any = 10_000
-    cache_mbit: Any = 10_000.0
-    degraded_rate_mbps: Any = None
+    capacity_sessions: Num = _field(10_000, integer=True, minimum=1)
+    cache_mbit: Num = _field(10_000.0, positive=True)
+    degraded_rate_mbps: Optional[Num] = _field(None, positive=True)
 
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "ServerSpec":
-        fields_ = _take(
-            data,
-            where,
-            optional=(
-                "id", "node", "group", "id_format",
-                "capacity_sessions", "cache_mbit", "degraded_rate_mbps",
-            ),
-        )
-        explicit = "id" in fields_ or "node" in fields_
-        grouped = "group" in fields_ or "id_format" in fields_
-        if explicit == grouped:
+    def _check(self, where: str) -> None:
+        declared = [bool(v) for v in (self.server_id, self.node, self.group, self.id_format)]
+        if declared not in ([True, True, False, False], [False, False, True, True]):
             raise ScenarioError(
                 f"{where}: declare either id+node or group+id_format, not both/neither"
             )
-        degraded = fields_.get("degraded_rate_mbps")
-        return ServerSpec(
-            server_id=_string(fields_["id"], f"{where}.id") if explicit else "",
-            node=_string(fields_["node"], f"{where}.node") if explicit else "",
-            group=_string(fields_["group"], f"{where}.group") if grouped else "",
-            id_format=(
-                _string(fields_["id_format"], f"{where}.id_format") if grouped else ""
-            ),
-            capacity_sessions=_number_or_ref(
-                fields_.get("capacity_sessions", 10_000), f"{where}.capacity_sessions"
-            ),
-            cache_mbit=_number_or_ref(fields_.get("cache_mbit", 10_000.0), f"{where}.cache_mbit"),
-            degraded_rate_mbps=(
-                None if degraded is None
-                else _number_or_ref(degraded, f"{where}.degraded_rate_mbps")
-            ),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "capacity_sessions": self.capacity_sessions,
-            "cache_mbit": self.cache_mbit,
-        }
-        if self.group:
-            data["group"] = self.group
-            data["id_format"] = self.id_format
-        else:
-            data["id"] = self.server_id
-            data["node"] = self.node
-        if self.degraded_rate_mbps is not None:
-            data["degraded_rate_mbps"] = self.degraded_rate_mbps
-        return data
 
 
 @dataclass(frozen=True)
-class CdnSpec:
+class CdnSpec(_Spec):
     name: str
     servers: Tuple[ServerSpec, ...]
     origin: str = ""
-    warm_top_fraction: Any = None
-
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "CdnSpec":
-        fields_ = _take(
-            data, where,
-            required=("name", "servers"),
-            optional=("origin", "warm_top_fraction"),
-        )
-        raw_servers = fields_["servers"]
-        if not isinstance(raw_servers, (list, tuple)) or not raw_servers:
-            raise ScenarioError(f"{where}.servers: expected a non-empty list")
-        warm = fields_.get("warm_top_fraction")
-        return CdnSpec(
-            name=_string(fields_["name"], f"{where}.name"),
-            servers=tuple(
-                ServerSpec.from_dict(entry, f"{where}.servers[{index}]")
-                for index, entry in enumerate(raw_servers)
-            ),
-            origin=str(fields_.get("origin", "")),
-            warm_top_fraction=(
-                None if warm is None else _number_or_ref(warm, f"{where}.warm_top_fraction")
-            ),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "name": self.name,
-            "servers": [server.to_dict() for server in self.servers],
-        }
-        if self.origin:
-            data["origin"] = self.origin
-        if self.warm_top_fraction is not None:
-            data["warm_top_fraction"] = self.warm_top_fraction
-        return data
+    warm_top_fraction: Optional[Num] = _field(None, minimum=0)
 
 
 @dataclass(frozen=True)
-class EgressSpec:
+class EgressSpec(_Spec):
     """Mirrors :class:`repro.sdn.te.EgressGroup`; links hold link *refs*
     (alias or canonical id), resolved against the topology plan."""
 
     name: str
     remote: str
     candidates: Tuple[str, ...]
-    links: Mapping[str, str] = field(default_factory=dict)
+    links: Dict[str, str]
     preferred: str = ""
-
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "EgressSpec":
-        fields_ = _take(
-            data, where,
-            required=("name", "remote", "candidates", "links"),
-            optional=("preferred",),
-        )
-        candidates = fields_["candidates"]
-        if not isinstance(candidates, (list, tuple)) or not candidates:
-            raise ScenarioError(f"{where}.candidates: expected a non-empty list")
-        links = _mapping(fields_["links"], f"{where}.links")
-        return EgressSpec(
-            name=_string(fields_["name"], f"{where}.name"),
-            remote=_string(fields_["remote"], f"{where}.remote"),
-            candidates=tuple(
-                _string(c, f"{where}.candidates[{i}]") for i, c in enumerate(candidates)
-            ),
-            links={k: _string(v, f"{where}.links[{k}]") for k, v in links.items()},
-            preferred=str(fields_.get("preferred", "")),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "name": self.name,
-            "remote": self.remote,
-            "candidates": list(self.candidates),
-            "links": dict(self.links),
-        }
-        if self.preferred:
-            data["preferred"] = self.preferred
-        return data
 
 
 @dataclass(frozen=True)
-class WebSpec:
+class WebSpec(_Spec):
     """A web-browsing workload: one server, a client group, and (for
     cellular worlds) per-client radio processes on the access links."""
 
     server_node: str
     clients: str
-    radio_tick_s: Any = None
+    radio_tick_s: Optional[Num] = _field(None, positive=True)
     radio_stream: str = "radio"
 
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "WebSpec":
-        fields_ = _take(
-            data, where,
-            required=("server_node", "clients"),
-            optional=("radio_tick_s", "radio_stream"),
-        )
-        tick = fields_.get("radio_tick_s")
-        return WebSpec(
-            server_node=_string(fields_["server_node"], f"{where}.server_node"),
-            clients=_string(fields_["clients"], f"{where}.clients"),
-            radio_tick_s=None if tick is None else _number_or_ref(tick, f"{where}.radio_tick_s"),
-            radio_stream=str(fields_.get("radio_stream", "radio")),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "server_node": self.server_node,
-            "clients": self.clients,
-            "radio_stream": self.radio_stream,
-        }
-        if self.radio_tick_s is not None:
-            data["radio_tick_s"] = self.radio_tick_s
-        return data
-
-
-# ---------------------------------------------------------------------------
-# populations, phases, faults
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PopulationSpec:
+class PopulationSpec(_Spec):
     """A session population over one topology group.
 
     ``rate`` keys depend on ``process`` (see :data:`PROCESS_KINDS`);
@@ -619,164 +432,63 @@ class PopulationSpec:
 
     name: str
     group: str
-    process: str
-    mode: str = "sessions"
-    rate: Mapping[str, Any] = field(default_factory=dict)
-    until_s: Any = None
-    max_sessions: Any = None
+    process: str = _field(choices=tuple(PROCESS_KINDS))
+    rate: Dict[str, Num] = _field(minimum=0)
+    mode: str = _field("sessions", choices=POPULATION_MODES)
+    until_s: Optional[Num] = _field(None, minimum=0)
+    max_sessions: Optional[Num] = _field(None, integer=True, minimum=1)
 
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "PopulationSpec":
-        fields_ = _take(
-            data, where,
-            required=("name", "group", "process", "rate"),
-            optional=("mode", "until_s", "max_sessions"),
-        )
-        process = _string(fields_["process"], f"{where}.process")
-        if process not in PROCESS_KINDS:
-            raise ScenarioError(
-                f"{where}.process: unknown process {process!r}"
-                f" (known: {', '.join(sorted(PROCESS_KINDS))})"
-            )
-        mode = fields_.get("mode", "sessions")
-        if mode not in POPULATION_MODES:
-            raise ScenarioError(
-                f"{where}.mode: must be one of {POPULATION_MODES}, got {mode!r}"
-            )
-        rate = _mapping(fields_["rate"], f"{where}.rate")
-        if mode == "cohort":
-            allowed: Tuple[str, ...] = ("rate_per_device_s",)
-            required_keys: Tuple[str, ...] = ("rate_per_device_s",)
-            if process != "poisson":
-                raise ScenarioError(
-                    f"{where}: cohort mode supports only the poisson process"
-                )
-        else:
-            required_keys, optional_keys = PROCESS_KINDS[process]
-            allowed = required_keys + optional_keys
-        unknown = sorted(set(rate) - set(allowed))
+    def _check(self, where: str) -> None:
+        required, optional = PROCESS_KINDS[self.process]
+        if self.mode == "cohort":
+            if self.process != "poisson":
+                raise ScenarioError(f"{where}: cohort mode supports only the poisson process")
+            required, optional = ("rate_per_device_s",), ()
+        unknown = sorted(set(self.rate) - set(required + optional))
         if unknown:
             raise ScenarioError(
                 f"{where}.rate: unknown key(s) {', '.join(map(repr, unknown))}"
-                f" for process {process!r} (known: {', '.join(allowed)})"
+                f" for process {self.process!r} (known: {', '.join(required + optional)})"
             )
-        missing = sorted(set(required_keys) - set(rate))
+        missing = sorted(set(required) - set(self.rate))
         if missing:
             raise ScenarioError(
                 f"{where}.rate: missing required key(s) {', '.join(missing)}"
-                f" for process {process!r}"
+                f" for process {self.process!r}"
             )
-        until = fields_.get("until_s")
-        max_sessions = fields_.get("max_sessions")
-        return PopulationSpec(
-            name=_string(fields_["name"], f"{where}.name"),
-            group=_string(fields_["group"], f"{where}.group"),
-            process=process,
-            mode=mode,
-            rate={
-                key: _number_or_ref(value, f"{where}.rate.{key}")
-                for key, value in rate.items()
-            },
-            until_s=None if until is None else _number_or_ref(until, f"{where}.until_s"),
-            max_sessions=(
-                None if max_sessions is None
-                else _number_or_ref(max_sessions, f"{where}.max_sessions")
-            ),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "name": self.name,
-            "group": self.group,
-            "process": self.process,
-            "mode": self.mode,
-            "rate": dict(self.rate),
-        }
-        if self.until_s is not None:
-            data["until_s"] = self.until_s
-        if self.max_sessions is not None:
-            data["max_sessions"] = self.max_sessions
-        return data
 
 
 @dataclass(frozen=True)
-class PhaseSpec:
+class PhaseSpec(_Spec):
     """One phase of the scenario's arc; compiled to a ``phase-transition``
     trace event at ``at_s`` (when tracing is on)."""
 
     name: str
-    at_s: Any
-    end_s: Any = None
-
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "PhaseSpec":
-        fields_ = _take(data, where, required=("name", "at_s"), optional=("end_s",))
-        end = fields_.get("end_s")
-        return PhaseSpec(
-            name=_string(fields_["name"], f"{where}.name"),
-            at_s=_number_or_ref(fields_["at_s"], f"{where}.at_s"),
-            end_s=None if end is None else _number_or_ref(end, f"{where}.end_s"),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"name": self.name, "at_s": self.at_s}
-        if self.end_s is not None:
-            data["end_s"] = self.end_s
-        return data
+    at_s: Num = _field(minimum=0)
+    end_s: Optional[Num] = _field(None, minimum=0)
 
 
 @dataclass(frozen=True)
-class FaultEventSpec:
-    """One inline fault event; ``link`` is a link ref (alias or id)."""
+class FaultEventSpec(_Spec):
+    """One inline fault event; ``link`` is a link ref (alias or id).
+    Glass and provider faults come via a named plan's ``use:``."""
 
-    at_s: Any
-    kind: str
+    at_s: Num = _field(minimum=0)
+    kind: str = _field(choices=INLINE_FAULT_KINDS)
     link: str
-    capacity_mbps: Any = None
-    factor: Any = None
+    capacity_mbps: Optional[Num] = _field(None, positive=True)
+    factor: Optional[Num] = _field(None, minimum=0)
 
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "FaultEventSpec":
-        fields_ = _take(
-            data, where,
-            required=("at_s", "kind", "link"),
-            optional=("capacity_mbps", "factor"),
-        )
-        kind = _string(fields_["kind"], f"{where}.kind")
-        if kind not in INLINE_FAULT_KINDS:
-            raise ScenarioError(
-                f"{where}.kind: unknown inline fault kind {kind!r}"
-                f" (known: {', '.join(INLINE_FAULT_KINDS)};"
-                f" glass/provider faults come via a named plan 'use:')"
-            )
-        capacity = fields_.get("capacity_mbps")
-        factor = fields_.get("factor")
-        if kind == "link-cut" and capacity is None and factor is None:
+    def _check(self, where: str) -> None:
+        sized = self.capacity_mbps is not None or self.factor is not None
+        if self.kind == "link-cut" and not sized:
             raise ScenarioError(f"{where}: link-cut needs capacity_mbps or factor")
-        if kind != "link-cut" and (capacity is not None or factor is not None):
-            raise ScenarioError(f"{where}: {kind} takes no capacity_mbps/factor")
-        return FaultEventSpec(
-            at_s=_number_or_ref(fields_["at_s"], f"{where}.at_s"),
-            kind=kind,
-            link=_string(fields_["link"], f"{where}.link"),
-            capacity_mbps=(
-                None if capacity is None
-                else _number_or_ref(capacity, f"{where}.capacity_mbps")
-            ),
-            factor=None if factor is None else _number_or_ref(factor, f"{where}.factor"),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"at_s": self.at_s, "kind": self.kind, "link": self.link}
-        if self.capacity_mbps is not None:
-            data["capacity_mbps"] = self.capacity_mbps
-        if self.factor is not None:
-            data["factor"] = self.factor
-        return data
+        if self.kind != "link-cut" and sized:
+            raise ScenarioError(f"{where}: {self.kind} takes no capacity_mbps/factor")
 
 
 @dataclass(frozen=True)
-class FaultPlanSpec:
+class FaultPlanSpec(_Spec):
     """An inline event list *or* a ``use:`` reference into the named-plan
     registry (:func:`repro.faults.plan.register_plan`)."""
 
@@ -785,67 +497,31 @@ class FaultPlanSpec:
     events: Tuple[FaultEventSpec, ...] = ()
     use: str = ""
 
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "FaultPlanSpec":
-        fields_ = _take(data, where, optional=("name", "description", "events", "use"))
-        use = str(fields_.get("use", ""))
-        raw_events = fields_.get("events")
-        if bool(use) == bool(raw_events):
+    def _check(self, where: str) -> None:
+        if bool(self.use) == bool(self.events):
             raise ScenarioError(f"{where}: declare either events or use, not both/neither")
-        if use:
-            return FaultPlanSpec(
-                name=str(fields_.get("name", "")) or use,
-                description=str(fields_.get("description", "")),
-                use=use,
-            )
-        if not isinstance(raw_events, (list, tuple)) or not raw_events:
-            raise ScenarioError(f"{where}.events: expected a non-empty list")
-        name = fields_.get("name")
-        if not name:
+        if self.events and not self.name:
             raise ScenarioError(f"{where}: inline plans need a name")
-        return FaultPlanSpec(
-            name=_string(name, f"{where}.name"),
-            description=str(fields_.get("description", "")),
-            events=tuple(
-                FaultEventSpec.from_dict(entry, f"{where}.events[{index}]")
-                for index, entry in enumerate(raw_events)
-            ),
-        )
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"name": self.name}
-        if self.description:
-            data["description"] = self.description
-        if self.use:
-            data["use"] = self.use
-        else:
-            data["events"] = [event.to_dict() for event in self.events]
-        return data
+    def compile(self, plan: "TopologyPlan", where: str) -> FaultPlan:
+        """A resolved inline plan as a :class:`FaultPlan`."""
+        events = []
+        for index, event in enumerate(self.events):
+            sizes = {"capacity_mbps": event.capacity_mbps, "factor": event.factor}
+            events.append(
+                FaultEvent(
+                    time_s=event.at_s,
+                    kind=event.kind,
+                    target=plan.resolve_link(event.link, f"{where}.events[{index}].link"),
+                    params={key: value for key, value in sizes.items() if value is not None},
+                )
+            )
+        return FaultPlan(name=self.name, events=tuple(events), description=self.description)
 
 
 # ---------------------------------------------------------------------------
-# the expanded (params-resolved) topology plan
+# the expanded topology plan
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PlannedNode:
-    node_id: str
-    kind: NodeKind
-    owner: str
-    tags: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class PlannedLink:
-    src: str
-    dst: str
-    capacity_mbps: Any
-    delay_ms: Any
-    owner: str
-    tags: Tuple[str, ...]
-    link_id: str
-    alias: str = ""
-
 
 @dataclass
 class GroupPlan:
@@ -856,37 +532,65 @@ class GroupPlan:
 
 @dataclass
 class TopologyPlan:
-    """A spec's topology, expanded with resolved params.
+    """A resolved spec's topology, expanded.
 
-    ``steps`` preserves directive order (groups interleave their member
-    nodes and links) so the engine can replay construction exactly.
+    ``steps`` holds node and link directives in construction order
+    (groups interleave their member nodes and links) so the engine can
+    replay construction exactly.
     """
 
     name: str
-    steps: List[Tuple[str, Any]] = field(default_factory=list)
+    steps: List[Union[NodeDirective, LinkDirective]] = field(default_factory=list)
     groups: Dict[str, GroupPlan] = field(default_factory=dict)
     aliases: Dict[str, str] = field(default_factory=dict)
-    node_ids: Dict[str, PlannedNode] = field(default_factory=dict)
-    link_ids: Dict[str, PlannedLink] = field(default_factory=dict)
+    node_ids: Dict[str, NodeDirective] = field(default_factory=dict)
+    link_ids: Dict[str, LinkDirective] = field(default_factory=dict)
 
-    def _add_node(self, node: PlannedNode, where: str) -> None:
-        if node.node_id in self.node_ids:
-            raise ScenarioError(f"{where}: duplicate node id {node.node_id!r}")
-        self.node_ids[node.node_id] = node
-        self.steps.append(("node", node))
+    @classmethod
+    def expand(cls, topology: TopologySpec, name: str) -> "TopologyPlan":
+        """Expand a resolved build list (pure; no sim)."""
+        plan = cls(name=topology.name or name)
+        for index, directive in enumerate(topology.build):
+            where = f"scenario.topology.build[{index}]"
+            if not isinstance(directive, GroupDirective):
+                plan._add(directive, where)
+                continue
+            if directive.name in plan.groups:
+                raise ScenarioError(f"{where}: duplicate group {directive.name!r}")
+            group = plan.groups[directive.name] = GroupPlan(directive.name)
+            for member_index in range(directive.count):
+                member = f"{directive.prefix}{member_index}"
+                src, dst = directive.attach, member
+                if directive.direction == "from-member":
+                    src, dst = dst, src
+                link = LinkDirective(src, dst, directive.capacity_mbps, directive.delay_ms,
+                                     directive.link_owner, directive.tags)
+                plan._add(NodeDirective(member, directive.kind, directive.owner), where)
+                plan._add(link, where)
+                group.nodes.append(member)
+                group.links.append(link.link_id)
+        return plan
 
-    def _add_link(self, link: PlannedLink, where: str) -> None:
-        for endpoint in (link.src, link.dst):
-            if endpoint not in self.node_ids:
-                raise ScenarioError(f"{where}: unknown node {endpoint!r}")
-        if link.link_id in self.link_ids:
-            raise ScenarioError(f"{where}: duplicate link {link.link_id!r}")
-        if link.alias:
-            if link.alias in self.aliases:
-                raise ScenarioError(f"{where}: duplicate link alias {link.alias!r}")
-            self.aliases[link.alias] = link.link_id
-        self.link_ids[link.link_id] = link
-        self.steps.append(("link", link))
+    def _add(self, step: Union[NodeDirective, LinkDirective], where: str) -> None:
+        if isinstance(step, NodeDirective):
+            if step.node_id in self.node_ids:
+                raise ScenarioError(f"{where}: duplicate node id {step.node_id!r}")
+            self.node_ids[step.node_id] = step
+        else:
+            for endpoint in (step.src, step.dst):
+                self.require_node(endpoint, where)
+            if step.link_id in self.link_ids:
+                raise ScenarioError(f"{where}: duplicate link {step.link_id!r}")
+            if step.alias in self.aliases:
+                raise ScenarioError(f"{where}: duplicate link alias {step.alias!r}")
+            if step.alias:
+                self.aliases[step.alias] = step.link_id
+            self.link_ids[step.link_id] = step
+        self.steps.append(step)
+
+    def require_node(self, node_id: str, where: str) -> None:
+        if node_id not in self.node_ids:
+            raise ScenarioError(f"{where}: unknown node {node_id!r}")
 
     def resolve_link(self, ref: str, where: str) -> str:
         """An alias or canonical ``src->dst`` id -> canonical id."""
@@ -895,9 +599,7 @@ class TopologyPlan:
         if ref in self.link_ids:
             return ref
         known = sorted(self.aliases) + sorted(self.link_ids)
-        raise ScenarioError(
-            f"{where}: unknown link {ref!r} (known: {', '.join(known)})"
-        )
+        raise ScenarioError(f"{where}: unknown link {ref!r} (known: {', '.join(known)})")
 
     def group(self, name: str, where: str) -> GroupPlan:
         if name not in self.groups:
@@ -912,15 +614,21 @@ class TopologyPlan:
 # the scenario spec itself
 # ---------------------------------------------------------------------------
 
+def _unique(names: List[str], what: str, where: str) -> None:
+    for index, name in enumerate(names):
+        if name in names[:index]:
+            raise ScenarioError(f"{where}[{index}]: duplicate {what} {name!r}")
+
+
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_Spec):
     """A complete declarative scenario; see the module docstring."""
 
     name: str
     topology: TopologySpec
     title: str = ""
     description: str = ""
-    params: Mapping[str, Any] = field(default_factory=dict)
+    params: Dict[str, Num] = field(default_factory=dict)
     catalog: Optional[CatalogSpec] = None
     cdns: Tuple[CdnSpec, ...] = ()
     egress: Tuple[EgressSpec, ...] = ()
@@ -929,289 +637,47 @@ class ScenarioSpec:
     phases: Tuple[PhaseSpec, ...] = ()
     faults: Tuple[FaultPlanSpec, ...] = ()
 
-    # -- parsing -----------------------------------------------------------
+    def resolve(
+        self, params: Optional[Mapping[str, Any]] = None
+    ) -> Tuple["ScenarioSpec", TopologyPlan]:
+        """The single resolve pass: ``(resolved spec, topology plan)``.
 
-    @staticmethod
-    def from_dict(data: Any) -> "ScenarioSpec":
-        fields_ = _take(
-            data, "scenario",
-            required=("name", "topology"),
-            optional=(
-                "title", "description", "params", "catalog", "cdns",
-                "egress", "web", "populations", "phases", "faults",
-            ),
-        )
-        name = _string(fields_["name"], "scenario.name")
-        params = _mapping(fields_.get("params", {}), "scenario.params")
-        for key, value in params.items():
-            if not _is_number(value):
-                raise ScenarioError(
-                    f"scenario.params.{key}: defaults must be numbers, got {value!r}"
-                )
-
-        def _list(key: str, parser, where: str) -> tuple:
-            raw = fields_.get(key, [])
-            if not isinstance(raw, (list, tuple)):
-                raise ScenarioError(f"{where}: expected a list")
-            return tuple(
-                parser(entry, f"{where}[{index}]") for index, entry in enumerate(raw)
-            )
-
-        return ScenarioSpec(
-            name=name,
-            topology=TopologySpec.from_dict(fields_["topology"], "scenario.topology"),
-            title=str(fields_.get("title", "")),
-            description=str(fields_.get("description", "")),
-            params=dict(params),
-            catalog=(
-                CatalogSpec.from_dict(fields_["catalog"], "scenario.catalog")
-                if "catalog" in fields_ else None
-            ),
-            cdns=_list("cdns", CdnSpec.from_dict, "scenario.cdns"),
-            egress=_list("egress", EgressSpec.from_dict, "scenario.egress"),
-            web=(
-                WebSpec.from_dict(fields_["web"], "scenario.web")
-                if "web" in fields_ else None
-            ),
-            populations=_list(
-                "populations", PopulationSpec.from_dict, "scenario.populations"
-            ),
-            phases=_list("phases", PhaseSpec.from_dict, "scenario.phases"),
-            faults=_list("faults", FaultPlanSpec.from_dict, "scenario.faults"),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The canonical dict form; ``from_dict`` round-trips it exactly."""
-        data: Dict[str, Any] = {"name": self.name}
-        if self.title:
-            data["title"] = self.title
-        if self.description:
-            data["description"] = self.description
-        if self.params:
-            data["params"] = dict(self.params)
-        data["topology"] = self.topology.to_dict()
-        if self.catalog is not None:
-            data["catalog"] = self.catalog.to_dict()
-        if self.cdns:
-            data["cdns"] = [cdn.to_dict() for cdn in self.cdns]
-        if self.egress:
-            data["egress"] = [group.to_dict() for group in self.egress]
-        if self.web is not None:
-            data["web"] = self.web.to_dict()
-        if self.populations:
-            data["populations"] = [pop.to_dict() for pop in self.populations]
-        if self.phases:
-            data["phases"] = [phase.to_dict() for phase in self.phases]
-        if self.faults:
-            data["faults"] = [plan.to_dict() for plan in self.faults]
-        return data
-
-    # -- resolution --------------------------------------------------------
-
-    def resolved_params(
-        self, overrides: Optional[Mapping[str, Any]] = None
-    ) -> Dict[str, Any]:
-        """Defaults overlaid with ``overrides``; unknown names are errors."""
-        params = dict(self.params)
-        for key, value in (overrides or {}).items():
-            if key not in params:
-                raise ScenarioError(
-                    f"scenario {self.name!r}: unknown parameter {key!r}"
-                    f" (declared: {', '.join(sorted(params)) or 'none'})"
-                )
-            if not _is_number(value):
-                raise ScenarioError(
-                    f"scenario {self.name!r}: parameter {key!r} must be a number,"
-                    f" got {value!r}"
-                )
-            params[key] = value
-        return params
-
-    def topology_plan(self, params: Optional[Mapping[str, Any]] = None) -> TopologyPlan:
-        """Expand the build list with resolved params (pure; no sim)."""
-        if params is None:
-            params = self.resolved_params()
-        plan = TopologyPlan(name=self.topology.name or self.name)
-        for index, directive in enumerate(self.topology.build):
-            where = f"scenario.topology.build[{index}]"
-            if isinstance(directive, NodeDirective):
-                plan._add_node(
-                    PlannedNode(
-                        node_id=directive.node_id,
-                        kind=_NODE_KINDS[directive.kind],
-                        owner=directive.owner,
-                        tags=directive.tags,
-                    ),
-                    where,
-                )
-            elif isinstance(directive, LinkDirective):
-                plan._add_link(
-                    PlannedLink(
-                        src=directive.src,
-                        dst=directive.dst,
-                        capacity_mbps=_resolve_number(
-                            directive.capacity_mbps, params,
-                            f"{where}.capacity_mbps", positive=True,
-                        ),
-                        delay_ms=_resolve_number(
-                            directive.delay_ms, params, f"{where}.delay_ms", minimum=0
-                        ),
-                        owner=directive.owner,
-                        tags=directive.tags,
-                        link_id=f"{directive.src}->{directive.dst}",
-                        alias=directive.alias,
-                    ),
-                    where,
-                )
-            else:
-                if directive.name in plan.groups:
-                    raise ScenarioError(f"{where}: duplicate group {directive.name!r}")
-                group = GroupPlan(name=directive.name)
-                plan.groups[directive.name] = group
-                count = _resolve_int(directive.count, params, f"{where}.count", minimum=1)
-                capacity = _resolve_number(
-                    directive.capacity_mbps, params, f"{where}.capacity_mbps",
-                    positive=True,
-                )
-                delay = _resolve_number(
-                    directive.delay_ms, params, f"{where}.delay_ms", minimum=0
-                )
-                for member_index in range(count):
-                    member = f"{directive.prefix}{member_index}"
-                    plan._add_node(
-                        PlannedNode(
-                            node_id=member,
-                            kind=_NODE_KINDS[directive.kind],
-                            owner=directive.owner,
-                            tags=(),
-                        ),
-                        where,
-                    )
-                    if directive.direction == "to-member":
-                        src, dst = directive.attach, member
-                    else:
-                        src, dst = member, directive.attach
-                    link = PlannedLink(
-                        src=src,
-                        dst=dst,
-                        capacity_mbps=capacity,
-                        delay_ms=delay,
-                        owner=directive.link_owner,
-                        tags=directive.tags,
-                        link_id=f"{src}->{dst}",
-                    )
-                    plan._add_link(link, where)
-                    group.nodes.append(member)
-                    group.links.append(link.link_id)
-        return plan
-
-    def fault_plans(
-        self,
-        params: Optional[Mapping[str, Any]] = None,
-        plan: Optional[TopologyPlan] = None,
-    ) -> List[FaultPlan]:
-        """Compile the spec's fault plans to :class:`FaultPlan` objects.
-
-        Inline plans resolve link refs and ``$params`` statically;
-        ``use:`` entries are looked up in the named-plan registry (and
-        must be registered -- importing the owning experiment module
-        does that).
+        ``params`` overrides the declared defaults; the resolved spec's
+        ``params`` are the values in force.  Raises :class:`ScenarioError`
+        on any bound, dangling reference, duplicate, phase-order or inline
+        fault-plan error.  ``use:`` plans are looked up by :meth:`fault_plans`.
         """
-        if params is None:
-            params = self.resolved_params()
-        if plan is None:
-            plan = self.topology_plan(params)
-        compiled: List[FaultPlan] = []
-        for index, spec in enumerate(self.faults):
-            where = f"scenario.faults[{index}]"
-            if spec.use:
-                from repro.faults.plan import get_plan
-
-                try:
-                    named = get_plan(spec.use)
-                except KeyError as error:
-                    raise ScenarioError(f"{where}: {error.args[0]}") from None
-                compiled.append(named.factory())
-                continue
-            events = []
-            for event_index, event in enumerate(spec.events):
-                event_where = f"{where}.events[{event_index}]"
-                event_params: Dict[str, float] = {}
-                if event.capacity_mbps is not None:
-                    event_params["capacity_mbps"] = _resolve_number(
-                        event.capacity_mbps, params,
-                        f"{event_where}.capacity_mbps", positive=True,
-                    )
-                if event.factor is not None:
-                    event_params["factor"] = _resolve_number(
-                        event.factor, params, f"{event_where}.factor", minimum=0
-                    )
-                events.append(
-                    FaultEvent(
-                        time_s=_resolve_number(
-                            event.at_s, params, f"{event_where}.at_s", minimum=0
-                        ),
-                        kind=event.kind,
-                        target=plan.resolve_link(event.link, f"{event_where}.link"),
-                        params=event_params,
-                    )
+        values = dict(self.params)
+        for key, value in (params or {}).items():
+            if key not in values:
+                raise ScenarioError(
+                    f"scenario.params: unknown parameter {key!r}"
+                    f" (declared: {', '.join(sorted(values)) or 'none'})"
                 )
-            compiled.append(
-                FaultPlan(name=spec.name, events=tuple(events), description=spec.description)
-            )
-        return compiled
+            values[key] = value
+        for key, value in values.items():
+            if not _is_number(value):
+                raise ScenarioError(f"scenario.params.{key}: expected a number, got {value!r}")
+        spec = dataclasses.replace(_resolve(self, values, "scenario"), params=values)
+        plan = TopologyPlan.expand(spec.topology, spec.name)
 
-    # -- referential validation -------------------------------------------
-
-    def validate(self) -> None:
-        """Cross-reference every section against the expanded topology.
-
-        Raises :class:`ScenarioError` on dangling node/link/group
-        references, overlapping or out-of-order phases, and fault plans
-        that cannot compile.  ``use:`` plans are checked only when the
-        registry knows them (see :func:`repro.scenarios.loader.validate_spec`
-        for the strict CLI path).
-        """
-        params = self.resolved_params()
-        plan = self.topology_plan(params)
-
-        if self.catalog is not None:
-            _resolve_int(self.catalog.items, params, "scenario.catalog.items", minimum=1)
-            _resolve_number(
-                self.catalog.duration_s, params, "scenario.catalog.duration_s",
-                positive=True,
-            )
-            _resolve_number(
-                self.catalog.zipf_alpha, params, "scenario.catalog.zipf_alpha", minimum=0
-            )
-
-        seen_cdns = set()
-        for index, cdn in enumerate(self.cdns):
+        _unique([cdn.name for cdn in spec.cdns], "cdn", "scenario.cdns")
+        for index, cdn in enumerate(spec.cdns):
             where = f"scenario.cdns[{index}]"
-            if cdn.name in seen_cdns:
-                raise ScenarioError(f"{where}: duplicate cdn {cdn.name!r}")
-            seen_cdns.add(cdn.name)
-            if cdn.warm_top_fraction is not None and self.catalog is None:
+            if cdn.warm_top_fraction is not None and spec.catalog is None:
                 raise ScenarioError(f"{where}: warm_top_fraction needs a catalog")
             for server_index, server in enumerate(cdn.servers):
                 server_where = f"{where}.servers[{server_index}]"
                 if server.group:
                     plan.group(server.group, f"{server_where}.group")
-                elif server.node not in plan.node_ids:
-                    raise ScenarioError(
-                        f"{server_where}.node: unknown node {server.node!r}"
-                    )
-                _resolve_int(
-                    server.capacity_sessions, params,
-                    f"{server_where}.capacity_sessions", minimum=1,
-                )
-            if cdn.origin and cdn.origin not in plan.node_ids:
-                raise ScenarioError(f"{where}.origin: unknown node {cdn.origin!r}")
+                else:
+                    plan.require_node(server.node, f"{server_where}.node")
+            if cdn.origin:
+                plan.require_node(cdn.origin, f"{where}.origin")
 
-        for index, group in enumerate(self.egress):
+        for index, group in enumerate(spec.egress):
             where = f"scenario.egress[{index}]"
-            if group.remote not in plan.node_ids:
-                raise ScenarioError(f"{where}.remote: unknown node {group.remote!r}")
+            plan.require_node(group.remote, f"{where}.remote")
             for candidate in group.candidates:
                 if candidate not in plan.node_ids:
                     raise ScenarioError(f"{where}: unknown candidate node {candidate!r}")
@@ -1221,96 +687,63 @@ class ScenarioSpec:
             for peer, ref in group.links.items():
                 plan.resolve_link(ref, f"{where}.links[{peer}]")
             if group.preferred and group.preferred not in group.candidates:
-                raise ScenarioError(
-                    f"{where}.preferred: {group.preferred!r} not a candidate"
-                )
+                raise ScenarioError(f"{where}.preferred: {group.preferred!r} not a candidate")
 
-        if self.web is not None:
-            if self.web.server_node not in plan.node_ids:
-                raise ScenarioError(
-                    f"scenario.web.server_node: unknown node {self.web.server_node!r}"
-                )
-            plan.group(self.web.clients, "scenario.web.clients")
-            if self.web.radio_tick_s is not None:
-                _resolve_number(
-                    self.web.radio_tick_s, params, "scenario.web.radio_tick_s",
-                    positive=True,
-                )
+        if spec.web is not None:
+            plan.require_node(spec.web.server_node, "scenario.web.server_node")
+            plan.group(spec.web.clients, "scenario.web.clients")
 
-        seen_populations = set()
-        for index, population in enumerate(self.populations):
+        _unique([pop.name for pop in spec.populations], "population", "scenario.populations")
+        for index, population in enumerate(spec.populations):
             where = f"scenario.populations[{index}]"
-            if population.name in seen_populations:
-                raise ScenarioError(f"{where}: duplicate population {population.name!r}")
-            seen_populations.add(population.name)
             plan.group(population.group, f"{where}.group")
-            for key, value in population.rate.items():
-                _resolve_number(value, params, f"{where}.rate.{key}", minimum=0)
-            if population.until_s is not None:
-                _resolve_number(population.until_s, params, f"{where}.until_s", minimum=0)
-            if population.max_sessions is not None:
-                _resolve_int(
-                    population.max_sessions, params, f"{where}.max_sessions", minimum=1
-                )
-            if "amplitude" in population.rate:
-                amplitude = _resolve(
-                    population.rate["amplitude"], params, f"{where}.rate.amplitude"
-                )
-                if not 0 <= amplitude < 1:
-                    raise ScenarioError(
-                        f"{where}.rate.amplitude: out of range [0, 1): {amplitude!r}"
-                    )
+            amplitude = population.rate.get("amplitude", 0)
+            if not 0 <= amplitude < 1:
+                raise ScenarioError(f"{where}.rate.amplitude: out of range [0, 1): {amplitude!r}")
 
-        previous_name = ""
-        previous_start: Optional[float] = None
-        previous_end: Optional[float] = None
-        seen_phases = set()
-        for index, phase in enumerate(self.phases):
-            where = f"scenario.phases[{index}]"
-            if phase.name in seen_phases:
-                raise ScenarioError(f"{where}: duplicate phase {phase.name!r}")
-            seen_phases.add(phase.name)
-            start = _resolve_number(phase.at_s, params, f"{where}.at_s", minimum=0)
-            end = (
-                None if phase.end_s is None
-                else _resolve_number(phase.end_s, params, f"{where}.end_s", minimum=0)
-            )
-            if end is not None and end <= start:
+        _unique([phase.name for phase in spec.phases], "phase", "scenario.phases")
+        for index, phase in enumerate(spec.phases):
+            where = f"scenario.phases[{index}]: phase {phase.name!r}"
+            if phase.end_s is not None and phase.end_s <= phase.at_s:
                 raise ScenarioError(
-                    f"{where}: phase {phase.name!r} ends at {end!r}"
-                    f" before it starts ({start!r})"
+                    f"{where} ends at {phase.end_s!r} before it starts ({phase.at_s!r})"
                 )
-            if previous_start is not None and start <= previous_start:
+            previous = spec.phases[index - 1] if index else None
+            if previous is not None and phase.at_s <= previous.at_s:
                 raise ScenarioError(
-                    f"{where}: phase {phase.name!r} (at_s={start!r}) must start"
-                    f" after {previous_name!r} (at_s={previous_start!r})"
+                    f"{where} (at_s={phase.at_s!r}) must start"
+                    f" after {previous.name!r} (at_s={previous.at_s!r})"
                 )
-            if previous_end is not None and start < previous_end:
+            if previous is not None and phase.at_s < (previous.end_s or 0):
                 raise ScenarioError(
-                    f"{where}: phase {phase.name!r} (at_s={start!r}) overlaps"
-                    f" {previous_name!r} (end_s={previous_end!r})"
+                    f"{where} (at_s={phase.at_s!r}) overlaps"
+                    f" {previous.name!r} (end_s={previous.end_s!r})"
                 )
-            previous_name, previous_start, previous_end = phase.name, start, end
 
-        seen_plans = set()
-        for index, fault in enumerate(self.faults):
+        _unique([fault.name or fault.use for fault in spec.faults], "fault plan", "scenario.faults")
+        for index, fault in enumerate(spec.faults):
+            if fault.events:
+                fault.compile(plan, f"scenario.faults[{index}]")
+        return spec, plan
+
+    def validate(self) -> None:
+        """Run :meth:`resolve` at the declared defaults; raise on any error."""
+        self.resolve()
+
+    def fault_plans(self, plan: TopologyPlan) -> List[FaultPlan]:
+        """A *resolved* spec's fault plans as :class:`FaultPlan` objects.
+
+        Inline plans resolve their link refs against ``plan``; ``use:``
+        entries are looked up in the named-plan registry (and must be
+        registered -- importing the owning experiment module does that).
+        """
+        compiled: List[FaultPlan] = []
+        for index, spec in enumerate(self.faults):
             where = f"scenario.faults[{index}]"
-            if fault.name in seen_plans:
-                raise ScenarioError(f"{where}: duplicate fault plan {fault.name!r}")
-            seen_plans.add(fault.name)
-            if fault.use:
-                continue  # registry membership is checked at compile time
-            # Compiling the single plan exercises link refs, times, params.
-            ScenarioSpec.fault_plans(
-                _only_fault(self, fault), params=params, plan=plan
-            )
-
-
-def _only_fault(spec: ScenarioSpec, fault: FaultPlanSpec) -> ScenarioSpec:
-    """A shallow copy carrying one inline fault plan (validation helper)."""
-    return ScenarioSpec(
-        name=spec.name,
-        topology=spec.topology,
-        params=dict(spec.params),
-        faults=(fault,),
-    )
+            try:
+                compiled.append(
+                    get_plan(spec.use).factory() if spec.use else spec.compile(plan, where)
+                )
+            except KeyError as error:
+                raise ScenarioError(f"{where}: {error.args[0]}") from None
+        return compiled
