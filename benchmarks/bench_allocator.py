@@ -49,7 +49,9 @@ def _run_workload(incremental: bool) -> dict:
     ctx = build_context(
         topology=_topology(),
         seed=17,
-        engine_config=EngineConfig(incremental=incremental),
+        engine_config=(
+            EngineConfig() if incremental else EngineConfig(full_solve_fraction=0.0)
+        ),
     )
     net = ctx.network
     rng = ctx.rng.get("churn")

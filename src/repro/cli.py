@@ -11,7 +11,6 @@ Examples::
     eona run e2 --seeds 0..4 --parallel
     eona run all --seed 0 --out results/ --format json
     eona trace e2 --seeds 0 --out traces/
-    eona profile e2 --seeds 0 --top 10
     eona lint
     eona lint src/repro/network --format json
 """
@@ -354,31 +353,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(analyze.render_regressions(found, baseline.experiment))
         regressions += len(found)
     return 1 if regressions else 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """Run an experiment under the handler profiler and print hot handlers."""
-    from repro.obs.profile import HandlerProfiler
-
-    specs = _resolve_specs(args.experiment)
-    if specs is None:
-        return 2
-    seeds = _resolve_seeds(args)
-    profiler = HandlerProfiler()
-    profiler.install()
-    try:
-        for spec in specs:
-            for variant in spec.variants:
-                with profiler.phase(f"{spec.exp_id}/{variant.name}"):
-                    for seed in seeds:
-                        variant.run(seed)
-    finally:
-        profiler.uninstall()
-    print(profiler.report(top=args.top))
-    if profiler.events == 0:
-        print("no events were dispatched under the profiler", file=sys.stderr)
-        return 1
-    return 0
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
@@ -773,20 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the seed sweep in worker processes",
     )
     bench_parser.set_defaults(fn=_cmd_bench)
-
-    profile_parser = subparsers.add_parser(
-        "profile",
-        help="run an experiment under the event-handler wall-clock profiler",
-    )
-    profile_parser.add_argument("experiment", help=f"{known}, or 'all'")
-    profile_parser.add_argument("--seed", type=int, default=0, help="single seed")
-    profile_parser.add_argument(
-        "--seeds", help="seed list, e.g. '0..4' or '0,3' (runs serially)"
-    )
-    profile_parser.add_argument(
-        "--top", type=int, default=10, help="how many hot handlers to print"
-    )
-    profile_parser.set_defaults(fn=_cmd_profile, parallel=False)
 
     faults_parser = subparsers.add_parser(
         "faults",

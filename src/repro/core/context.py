@@ -10,10 +10,10 @@ the control-plane constructors (:class:`~repro.core.appp.AppPController`,
 :class:`~repro.core.infp.StatusQuoInfP`, ...) accept a context in place
 of the individual pieces.
 
-The context also carries the :class:`EngineConfig` of the network's
-allocation engine, so an experiment that wants the from-scratch
-allocator (ablation) or a different full-solve threshold configures it
-in exactly one place.
+An experiment that wants the from-scratch allocator (ablation), a
+different full-solve threshold or a different per-flow rate cap passes
+an :class:`EngineConfig` to :func:`build_context`; the network's engine
+owns it (``ctx.network.engine.config``).
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class SimContext:
         topology: The world's topology.
         network: The fluid network bound to ``sim`` and ``topology``.
         rng: Named RNG streams (same object as ``sim.rng``).
-        engine_config: The allocation engine's configuration.
         registry: Opt-in grants gating the EONA looking glasses.
         cdns: CDN providers registered into this world, in registration
             order (the AppP's default preference order).
@@ -52,7 +51,6 @@ class SimContext:
     topology: Topology
     network: FluidNetwork
     rng: RngStreams
-    engine_config: EngineConfig
     registry: OptInRegistry = field(default_factory=OptInRegistry)
     cdns: List["Cdn"] = field(default_factory=list)
 
@@ -80,7 +78,6 @@ def build_context(
     seed: int = 0,
     name: str = "net",
     engine_config: Optional[EngineConfig] = None,
-    max_rate_mbps: float = 1e5,
     registry: Optional[OptInRegistry] = None,
 ) -> SimContext:
     """Assemble a simulated world: the one entry point experiments use.
@@ -92,10 +89,8 @@ def build_context(
             its links already added (the scenario builders do).
         seed: Root seed of the simulator's RNG streams.
         name: Name of the topology when one is created here.
-        engine_config: Allocation-engine configuration; defaults to the
-            incremental engine with ``max_rate_mbps`` as the flow cap.
-        max_rate_mbps: Per-flow rate cap used when ``engine_config`` is
-            omitted.
+        engine_config: Allocation-engine configuration, including the
+            per-flow rate cap; defaults to :class:`EngineConfig`.
         registry: Opt-in registry; a fresh empty one when omitted.
     """
     sim = Simulator(seed=seed)
@@ -105,15 +100,12 @@ def build_context(
     TRACER.bind_clock(lambda: sim.now)
     if topology is None:
         topology = Topology(name)
-    if engine_config is None:
-        engine_config = EngineConfig(max_rate_mbps=max_rate_mbps)
     network = FluidNetwork(sim, topology, engine_config=engine_config)
     return SimContext(
         sim=sim,
         topology=topology,
         network=network,
         rng=sim.rng,
-        engine_config=engine_config,
         registry=registry if registry is not None else OptInRegistry(),
     )
 

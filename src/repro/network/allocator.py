@@ -19,10 +19,13 @@ When the dirty component spans most of the network (churn touching
 everything, e.g. a core-link capacity change) the engine falls back to
 one full solve — the component walk would cost as much as solving, so
 there is nothing to save.  The fraction is the
-``full_solve_fraction`` knob of :class:`EngineConfig`.
+``full_solve_fraction`` knob of :class:`EngineConfig`; ``0.0`` makes
+every solve a full one (the from-scratch baseline).
 
-The engine also maintains per-link load totals incrementally, so the
-network only refreshes statistics of links whose load actually moved.
+The engine is the only writer of ``flow.path`` and ``flow.rate_mbps``.
+Mutations only mark the links whose load may have moved; each solve
+derives those links' loads from their members' rates, so the network
+refreshes statistics of exactly those links.
 Counters (:class:`EngineCounters`) make the saving observable:
 ``bench_allocator.py`` asserts the flash-crowd workload does strictly
 fewer full solves with the engine than a from-scratch-per-change
@@ -50,15 +53,13 @@ class EngineConfig:
             stand-in; also keeps infinite-demand, empty-path rates finite).
         full_solve_fraction: When the dirty component contains at least
             this fraction of all active flows, do a full solve instead
-            of an incremental one.
-        incremental: Master switch; ``False`` forces a full solve on
-            every change (the from-scratch baseline the benchmarks
-            compare against).
+            of an incremental one.  ``0.0`` forces a full solve on every
+            change (the from-scratch baseline the benchmarks compare
+            against).
     """
 
     max_rate_mbps: float = 1e5
     full_solve_fraction: float = 0.6
-    incremental: bool = True
 
 
 @dataclass
@@ -115,10 +116,9 @@ class AllocationEngine:
     The owner (normally :class:`~repro.network.fluidsim.FluidNetwork`)
     routes every state change through the mutation methods below, then
     calls :meth:`solve` to bring rates up to date.  The engine is the
-    single writer of its flows' allocation state between mutations: it
-    keeps the applied rate per flow and the applied load per link, so it
-    can both (a) seed the dirty-component walk and (b) report exactly
-    which link loads moved.
+    single writer of its flows' ``path`` and ``rate_mbps``, so it can
+    both (a) seed the dirty-component walk and (b) report exactly which
+    link loads moved.
     """
 
     def __init__(self, config: Optional[EngineConfig] = None) -> None:
@@ -127,10 +127,7 @@ class AllocationEngine:
         self._flows: Dict[str, Flow] = {}
         # link_id -> ids of flows currently routed over the link.
         self._members: Dict[str, Set[str]] = {}
-        # flow_id -> the path whose link loads include this flow's rate.
-        self._applied_path: Dict[str, List[Link]] = {}
-        # flow_id -> the rate currently counted into link loads.
-        self.rates: Dict[str, float] = {}
+        # link_id -> sum of member rates; written only by solve().
         self.link_loads: Dict[str, float] = {}
         self._dirty_flows: Set[str] = set()
         self._dirty_links: Set[str] = set()
@@ -145,10 +142,8 @@ class AllocationEngine:
         if flow_id in self._flows:
             raise ValueError(f"flow {flow_id!r} already registered")
         self._flows[flow_id] = flow
-        self._applied_path[flow_id] = list(flow.path)
-        self.rates[flow_id] = 0.0
-        for link in flow.path:
-            self._members.setdefault(link.link_id, set()).add(flow_id)
+        flow.rate_mbps = 0.0
+        self._join_path(flow)
         self._dirty_flows.add(flow_id)
         if len(self._flows) > self.counters.flows_active_peak:
             self.counters.flows_active_peak = len(self._flows)
@@ -158,17 +153,7 @@ class AllocationEngine:
         flow_id = flow.flow_id
         if flow_id not in self._flows:
             return
-        rate = self.rates.pop(flow_id, 0.0)
-        for link in self._applied_path.pop(flow_id, ()):
-            link_id = link.link_id
-            members = self._members.get(link_id)
-            if members is not None:
-                members.discard(flow_id)
-            if rate != 0.0:  # simlint: ignore[float-eq] -- exact sentinel, never arithmetic
-                self.link_loads[link_id] = self.link_loads.get(link_id, 0.0) - rate
-                self._changed_links.add(link_id)
-            # The survivors on this link may now speed up.
-            self._dirty_links.add(link_id)
+        self._leave_path(flow)
         del self._flows[flow_id]
         self._dirty_flows.discard(flow_id)
 
@@ -186,31 +171,15 @@ class AllocationEngine:
         """Move a flow onto ``new_path``, updating all bookkeeping.
 
         The engine performs the ``flow.path`` assignment itself so the
-        membership maps and link loads can never drift from the flow
-        objects.
+        membership maps can never drift from the flow objects.
         """
         flow_id = flow.flow_id
         if flow_id not in self._flows:
             flow.path = list(new_path)
             return
-        rate = self.rates.get(flow_id, 0.0)
-        for link in self._applied_path[flow_id]:
-            link_id = link.link_id
-            members = self._members.get(link_id)
-            if members is not None:
-                members.discard(flow_id)
-            if rate != 0.0:  # simlint: ignore[float-eq] -- exact sentinel, never arithmetic
-                self.link_loads[link_id] = self.link_loads.get(link_id, 0.0) - rate
-                self._changed_links.add(link_id)
-            self._dirty_links.add(link_id)
+        self._leave_path(flow)
         flow.path = list(new_path)
-        self._applied_path[flow_id] = list(new_path)
-        for link in new_path:
-            link_id = link.link_id
-            self._members.setdefault(link_id, set()).add(flow_id)
-            if rate != 0.0:  # simlint: ignore[float-eq] -- exact sentinel, never arithmetic
-                self.link_loads[link_id] = self.link_loads.get(link_id, 0.0) + rate
-                self._changed_links.add(link_id)
+        self._join_path(flow)
         self._dirty_flows.add(flow_id)
 
     def update_capacity(self, link_id: str) -> None:
@@ -225,14 +194,12 @@ class AllocationEngine:
         self.counters.solve_calls += 1
         if not self._dirty_flows and not self._dirty_links:
             self.counters.noop_solves += 1
-            self._refresh_changed_loads()
-            return SolveResult("noop", {}, self._drain_changed())
+            return SolveResult("noop", {}, self._refresh_changed_loads())
 
         touched = self._affected_flows()
         total = len(self._flows)
         if (
-            not self.config.incremental
-            or total == 0
+            total == 0
             or len(touched) >= self.config.full_solve_fraction * total
         ):
             mode = "full"
@@ -250,11 +217,13 @@ class AllocationEngine:
         for flow in targets:
             rate = min(raw.get(flow.flow_id, 0.0), cap)
             new_rates[flow.flow_id] = rate
-            self._apply_rate(flow.flow_id, rate)
+            if rate != flow.rate_mbps:
+                flow.rate_mbps = rate
+                for link in flow.path:
+                    self._changed_links.add(link.link_id)
 
         self._dirty_flows.clear()
         self._dirty_links.clear()
-        self._refresh_changed_loads()
         if TRACER.enabled:
             # Noop solves are skipped: at one solve per network change
             # they would dominate the trace with zero-information events.
@@ -264,7 +233,12 @@ class AllocationEngine:
                 flows_solved=len(targets),
                 flows_active=total,
             )
-        return SolveResult(mode, new_rates, self._drain_changed())
+        return SolveResult(mode, new_rates, self._refresh_changed_loads())
+
+    @property
+    def rates(self) -> Dict[str, float]:
+        """Current rate of every registered flow (a fresh snapshot)."""
+        return {flow_id: flow.rate_mbps for flow_id, flow in self._flows.items()}
 
     def active_flow_count(self) -> int:
         return len(self._flows)
@@ -272,37 +246,47 @@ class AllocationEngine:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _apply_rate(self, flow_id: str, new_rate: float) -> None:
-        old_rate = self.rates.get(flow_id, 0.0)
-        if new_rate == old_rate:
-            return
-        delta = new_rate - old_rate
-        for link in self._applied_path[flow_id]:
+    def _join_path(self, flow: Flow) -> None:
+        """Add ``flow`` to its links' members; a loaded flow moves their load."""
+        flow_id = flow.flow_id
+        loaded = flow.rate_mbps != 0.0  # simlint: ignore[float-eq] -- exact sentinel, never arithmetic
+        for link in flow.path:
             link_id = link.link_id
-            self.link_loads[link_id] = self.link_loads.get(link_id, 0.0) + delta
-            self._changed_links.add(link_id)
-        self.rates[flow_id] = new_rate
+            self._members.setdefault(link_id, set()).add(flow_id)
+            if loaded:
+                self._changed_links.add(link_id)
 
-    def _refresh_changed_loads(self) -> None:
-        """Recompute each changed link's load exactly from member rates.
+    def _leave_path(self, flow: Flow) -> None:
+        """Drop ``flow`` from its links' members, marking them dirty."""
+        flow_id = flow.flow_id
+        loaded = flow.rate_mbps != 0.0  # simlint: ignore[float-eq] -- exact sentinel, never arithmetic
+        for link in flow.path:
+            link_id = link.link_id
+            members = self._members.get(link_id)
+            if members is not None:
+                members.discard(flow_id)
+            if loaded:
+                self._changed_links.add(link_id)
+            # The survivors on this link may now speed up.
+            self._dirty_links.add(link_id)
 
-        The per-mutation delta updates keep loads usable between solves,
-        but accumulated deltas drift by float residue (a drained link
-        ends at ``-1e-16`` instead of ``0.0``).  Summing the members in
-        sorted order at each solve boundary makes the reported loads
-        exact and run-to-run deterministic.
+    def _refresh_changed_loads(self) -> Set[str]:
+        """Derive each changed link's load from its members' rates.
+
+        This is the only writer of :attr:`link_loads`.  Summing the
+        members in sorted order makes the loads exact and run-to-run
+        deterministic.  Returns the changed links and starts a new set.
         """
-        for link_id in self._changed_links:
+        flows = self._flows
+        changed = self._changed_links
+        for link_id in changed:
             members = self._members.get(link_id)
             if members:
                 self.link_loads[link_id] = sum(
-                    self.rates.get(flow_id, 0.0) for flow_id in sorted(members)
+                    flows[flow_id].rate_mbps for flow_id in sorted(members)
                 )
             else:
                 self.link_loads[link_id] = 0.0
-
-    def _drain_changed(self) -> Set[str]:
-        changed = self._changed_links
         self._changed_links = set()
         return changed
 
@@ -350,10 +334,9 @@ class AllocationEngine:
                 f"expected={sorted(expected)}"
             )
         loads: Dict[str, float] = {}
-        for flow_id, path in self._applied_path.items():
-            rate = self.rates.get(flow_id, 0.0)
-            for link in path:
-                loads[link.link_id] = loads.get(link.link_id, 0.0) + rate
+        for flow in self._flows.values():
+            for link in flow.path:
+                loads[link.link_id] = loads.get(link.link_id, 0.0) + flow.rate_mbps
         for link_id, load in loads.items():
             if abs(self.link_loads.get(link_id, 0.0) - load) > 1e-6:
                 raise AssertionError(

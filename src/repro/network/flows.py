@@ -64,9 +64,9 @@ class Flow:
         owner: str = "",
         weight: float = 1.0,
     ) -> None:
-        if demand_mbps <= 0:
+        if not demand_mbps > 0:
             raise ValueError(f"flow {flow_id}: demand must be positive")
-        if size_mbit is not None and size_mbit < 0:
+        if size_mbit is not None and not size_mbit >= 0:
             raise ValueError(f"flow {flow_id}: size must be non-negative")
         if weight <= 0 or not math.isfinite(weight):
             raise ValueError(f"flow {flow_id}: weight must be positive and finite")

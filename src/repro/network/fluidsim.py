@@ -104,27 +104,22 @@ class FluidNetwork:
     Args:
         sim: Simulator providing the clock and event queue.
         topology: The (mutable-capacity) topology.
-        max_rate_mbps: Cap applied to any single flow, standing in for
-            end-host NIC limits and keeping rates finite.  Ignored when
-            ``engine_config`` is given (the config carries the cap).
-        engine_config: Allocation-engine tuning; defaults to an
-            incremental engine with ``max_rate_mbps`` as the flow cap.
+        engine_config: Allocation-engine tuning, including the per-flow
+            rate cap (``max_rate_mbps``); defaults to :class:`EngineConfig`.
     """
 
     def __init__(
         self,
         sim: Simulator,
         topology: Topology,
-        max_rate_mbps: float = 1e5,
         engine_config: Optional[EngineConfig] = None,
     ) -> None:
         self.sim = sim
         self.topology = topology
         self.router = Router(topology)
-        if engine_config is None:
-            engine_config = EngineConfig(max_rate_mbps=max_rate_mbps)
         self.engine = AllocationEngine(engine_config)
-        self._flows: Dict[str, Flow] = {}
+        # flow_id -> handle of every active flow, in start order (which
+        # fixes completion and rerouting order).
         self._transfers: Dict[str, Transfer] = {}
         self._via_policy: Dict[str, str] = {}
         self._split_policy: Dict[str, _SplitState] = {}
@@ -201,14 +196,13 @@ class FluidNetwork:
         self._sync_to_now()
         flow.state = FlowState.ABORTED
         flow.finished_at = self.sim.now
-        self._flows.pop(flow.flow_id, None)
         self._transfers.pop(flow.flow_id, None)
         self.engine.remove_flow(flow)
         self._reallocate()
 
     def set_demand(self, transfer: Transfer, demand_mbps: float) -> None:
         """Change a flow's rate cap (e.g. a player switching bitrate)."""
-        if demand_mbps <= 0:
+        if not demand_mbps > 0:
             raise ValueError(f"demand must be positive, got {demand_mbps!r}")
         if transfer.flow.done:
             return
@@ -246,7 +240,7 @@ class FluidNetwork:
             flow = transfer.flow
             if flow.done:
                 continue
-            if demand_mbps <= 0:
+            if not demand_mbps > 0:
                 raise ValueError(f"demand must be positive, got {demand_mbps!r}")
             if weight is not None:
                 if weight <= 0 or not math.isfinite(weight):
@@ -276,7 +270,7 @@ class FluidNetwork:
 
     def set_link_capacity(self, link_id: str, capacity_mbps: float) -> None:
         """Change a link's capacity and reallocate (failures, energy saving)."""
-        if capacity_mbps <= 0:
+        if not capacity_mbps > 0:
             raise ValueError(f"capacity must be positive, got {capacity_mbps!r}")
         self._sync_to_now()
         self.topology.link(link_id).capacity_mbps = capacity_mbps
@@ -299,7 +293,7 @@ class FluidNetwork:
             self._via_policy[owner] = via
         rerouted = False
         self._sync_to_now()
-        for flow in self._flows.values():
+        for flow in self.active_flows():
             if flow.owner == owner:
                 self.engine.set_path(
                     flow, self._resolve_path(flow.src, flow.dst, via, None)
@@ -326,7 +320,7 @@ class FluidNetwork:
         self._via_policy.pop(owner, None)
         self._split_policy[owner] = _SplitState(weights=normalized)
         self._sync_to_now()
-        flows = [flow for flow in self._flows.values() if flow.owner == owner]
+        flows = [flow for flow in self.active_flows() if flow.owner == owner]
         if flows:
             state = self._split_policy[owner]
             state.assigned = {via: 0 for via in normalized}
@@ -355,7 +349,7 @@ class FluidNetwork:
         ]
 
     def active_flows(self) -> List[Flow]:
-        return list(self._flows.values())
+        return [transfer.flow for transfer in self._transfers.values()]
 
     def sync(self) -> None:
         """Bring flow progress and link-time integrals up to ``sim.now``.
@@ -421,7 +415,6 @@ class FluidNetwork:
         flow.last_progress_at = self.sim.now
         transfer = Transfer(flow, self, on_complete)
         self._sync_to_now()
-        self._flows[flow_id] = flow
         self._transfers[flow_id] = transfer
         self.engine.add_flow(flow)
         if size_mbit is not None and size_mbit <= _EPS:
@@ -450,8 +443,8 @@ class FluidNetwork:
         now = self.sim.now
         for stats in self.link_stats.values():
             stats.advance(now)
-        for flow in self._flows.values():
-            flow.progress(now)
+        for transfer in self._transfers.values():
+            transfer.flow.progress(now)
 
     def _reallocate(self) -> None:
         """Re-solve the dirty component and reschedule the next completion.
@@ -462,10 +455,6 @@ class FluidNetwork:
         can affect and reports which link loads moved.
         """
         result = self.engine.solve()
-        for flow_id, rate in result.rates.items():
-            flow = self._flows.get(flow_id)
-            if flow is not None:
-                flow.rate_mbps = rate
         for link_id in result.changed_links:
             self.link_stats[link_id].set_load(
                 self.engine.link_loads.get(link_id, 0.0)
@@ -475,8 +464,8 @@ class FluidNetwork:
     def _schedule_next_completion(self) -> None:
         self._epoch += 1
         next_eta = math.inf
-        for flow in self._flows.values():
-            next_eta = min(next_eta, flow.eta(self.sim.now))
+        for transfer in self._transfers.values():
+            next_eta = min(next_eta, transfer.flow.eta(self.sim.now))
         if math.isfinite(next_eta):
             delay = max(0.0, next_eta - self.sim.now)
             self.sim.schedule(delay, self._on_completion_event, self._epoch)
@@ -486,9 +475,9 @@ class FluidNetwork:
             return  # superseded by a later reallocation
         self._sync_to_now()
         finished = [
-            self._transfers[flow.flow_id]
-            for flow in self._flows.values()
-            if flow.is_finite and flow.remaining_mbit <= _EPS
+            transfer
+            for transfer in self._transfers.values()
+            if transfer.flow.is_finite and transfer.flow.remaining_mbit <= _EPS
         ]
         for transfer in finished:
             self._complete(transfer)
@@ -499,7 +488,6 @@ class FluidNetwork:
         flow.state = FlowState.COMPLETED
         flow.finished_at = self.sim.now
         flow.remaining_mbit = 0.0
-        self._flows.pop(flow.flow_id, None)
         self._transfers.pop(flow.flow_id, None)
         self.engine.remove_flow(flow)
         self.completed_transfers += 1

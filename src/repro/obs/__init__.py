@@ -1,4 +1,4 @@
-"""Unified observability layer: tracing, metrics, and profiling.
+"""Unified observability layer: tracing, metrics, and the host clock.
 
 The simulator's three ad-hoc introspection mechanisms -- the allocation
 engine's :class:`~repro.network.allocator.EngineCounters`,
@@ -15,10 +15,10 @@ views (DESIGN.md §9):
   fixed-bucket histograms behind one ``snapshot() -> dict`` API, which
   absorbs the legacy counter dicts and feeds the
   ``eona-run-artifact/2`` ``metrics`` block.
-* :mod:`repro.obs.profile` -- wall-clock timing of event-handler
-  execution via the kernel's dispatch hook.  This is the only layer
-  allowed to read host timers; simlint's ``obs-hotpath`` rule enforces
-  that everything else routes timing through :func:`wall_clock`.
+* :mod:`repro.obs.profile` -- :func:`wall_clock`, the one sanctioned
+  host-timer read; simlint's ``obs-hotpath`` rule enforces that
+  everything outside this layer routes timing through it.  Per-layer
+  wall time is measured from outside the program (``perfbench/``).
 * :mod:`repro.obs.spans` / :mod:`repro.obs.analyze` -- the causal-span
   layer (DESIGN.md §13): span forests rebuilt from ``cause``/``parent``
   IDs threaded through the control loop, loop-latency distributions,
@@ -28,14 +28,13 @@ views (DESIGN.md §9):
 from __future__ import annotations
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profile import HandlerProfiler, wall_clock
+from repro.obs.profile import wall_clock
 from repro.obs.spans import SpanForest, build_span_forest, loop_latencies
 from repro.obs.trace import TRACER, Tracer
 
 __all__ = [
     "Counter",
     "Gauge",
-    "HandlerProfiler",
     "Histogram",
     "MetricsRegistry",
     "SpanForest",

@@ -46,7 +46,7 @@ LOOP_LATENCY_EDGES: Tuple[float, ...] = (
 #: Substrings marking a row column as environment-dependent -- never
 #: compared by the bench gate (wall clock, RSS, and rates derived from
 #: them vary by host; everything else in an artifact is deterministic).
-ENV_DEPENDENT_MARKERS: Tuple[str, ...] = ("wall", "rss", "per_sec", "time")
+ENV_DEPENDENT_MARKERS: Tuple[str, ...] = ("wall", "rss", "per_sec")
 
 
 # ----------------------------------------------------------------------

@@ -1,29 +1,20 @@
-"""Wall-clock profiling of event-handler execution.
+"""The one sanctioned host-clock read.
 
 The simulator's determinism discipline (simlint's ``wallclock`` and
 ``obs-hotpath`` rules) bans host timers everywhere except this layer.
-Two things live here:
+:func:`wall_clock` is how any layer reads the host's monotonic clock
+(the experiment registry, e7's scalability measurements and the
+transport layer route through it instead of importing :mod:`time`).
 
-* :func:`wall_clock` -- the sanctioned way for any layer to read the
-  host's monotonic clock (the experiment registry and e7's scalability
-  measurements route through it instead of importing :mod:`time`).
-* :class:`HandlerProfiler` -- installs itself as the kernel's dispatch
-  hook (:attr:`repro.simkernel.kernel.Simulator.default_dispatch_hook`)
-  and accumulates wall seconds per handler qualname, answering "where
-  does e7's wall time go?" with a top-N table and per-phase totals.
-
-Profiling measures the host, not the simulation: it never touches the
-event queue or the sim clock, so enabling it cannot change simulated
-behavior -- only slow it down.
+Per-layer wall-time measurement is not done in-process: the repository
+benchmark (``perfbench/``, see ``perfbench/README.md``) times every
+layer from outside the program through
+:attr:`repro.simkernel.kernel.Simulator.default_dispatch_hook`.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Tuple
-
-from repro.simkernel.kernel import Simulator
 
 
 def wall_clock() -> float:
@@ -35,130 +26,3 @@ def wall_clock() -> float:
     rule's guarantee: every host-timer read is auditable in one layer.
     """
     return time.perf_counter()
-
-
-def _qualname(fn: Callable[..., Any]) -> str:
-    """Stable display key for a handler: module-qualified where possible."""
-    name = getattr(fn, "__qualname__", None)
-    if name is None:
-        # functools.partial and other callables without a qualname.
-        inner = getattr(fn, "func", None)
-        if inner is not None:
-            return f"partial({_qualname(inner)})"
-        return repr(type(fn).__name__)
-    module = getattr(fn, "__module__", "")
-    return f"{module}.{name}" if module else str(name)
-
-
-class HandlerProfiler:
-    """Accumulates wall-clock time per event-handler qualname.
-
-    Usage::
-
-        profiler = HandlerProfiler()
-        profiler.install()
-        try:
-            with profiler.phase("e2/eona"):
-                ...  # build world, sim.run()
-        finally:
-            profiler.uninstall()
-        print(profiler.report(top=10))
-
-    ``install()`` sets :attr:`Simulator.default_dispatch_hook`, so only
-    simulators constructed *after* it take the hook -- existing
-    instances are untouched.  The profiler itself is not thread-safe
-    and not meant to be shared across processes.
-    """
-
-    def __init__(self) -> None:
-        self._by_handler: Dict[str, Tuple[int, float]] = {}
-        self._by_phase: Dict[str, float] = {}
-        self._phase_stack: List[str] = []
-        self._installed = False
-        self.events = 0
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def install(self) -> None:
-        """Become the dispatch hook for subsequently built simulators."""
-        if Simulator.default_dispatch_hook is not None:
-            raise RuntimeError("another dispatch hook is already installed")
-        Simulator.default_dispatch_hook = self._dispatch
-        self._installed = True
-
-    def uninstall(self) -> None:
-        """Clear the class-level hook (idempotent)."""
-        if self._installed:
-            Simulator.default_dispatch_hook = None
-            self._installed = False
-
-    # ------------------------------------------------------------------
-    # the hook
-    # ------------------------------------------------------------------
-    def _dispatch(
-        self,
-        now: float,
-        fn: Callable[..., Any],
-        args: Tuple[Any, ...],
-    ) -> None:
-        started = time.perf_counter()
-        try:
-            fn(*args)
-        finally:
-            elapsed = time.perf_counter() - started
-            key = _qualname(fn)
-            count, total = self._by_handler.get(key, (0, 0.0))
-            self._by_handler[key] = (count + 1, total + elapsed)
-            self.events += 1
-            if self._phase_stack:
-                phase = self._phase_stack[-1]
-                self._by_phase[phase] = self._by_phase.get(phase, 0.0) + elapsed
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Attribute handler time inside the block to ``name``."""
-        self._phase_stack.append(name)
-        try:
-            yield
-        finally:
-            self._phase_stack.pop()
-
-    # ------------------------------------------------------------------
-    # reading
-    # ------------------------------------------------------------------
-    def top_handlers(self, top: int = 10) -> List[Tuple[str, int, float]]:
-        """The ``top`` hottest handlers as (qualname, calls, wall_s)."""
-        rows = [
-            (name, count, total)
-            for name, (count, total) in self._by_handler.items()
-        ]
-        rows.sort(key=lambda row: (-row[2], row[0]))
-        return rows[:top]
-
-    def phase_totals(self) -> Dict[str, float]:
-        """Accumulated handler wall seconds per phase (sorted by name)."""
-        return {name: self._by_phase[name] for name in sorted(self._by_phase)}
-
-    def snapshot(self) -> Dict[str, object]:
-        """All accumulated data as plain dicts (JSON-ready)."""
-        return {
-            "events": self.events,
-            "handlers": {
-                name: {"calls": count, "wall_s": total}
-                for name, (count, total) in sorted(self._by_handler.items())
-            },
-            "phases": self.phase_totals(),
-        }
-
-    def report(self, top: int = 10) -> str:
-        """Human-readable top-N table plus per-phase totals."""
-        lines = [f"{'calls':>8}  {'wall_s':>10}  handler"]
-        for name, count, total in self.top_handlers(top):
-            lines.append(f"{count:>8}  {total:>10.4f}  {name}")
-        if self._by_phase:
-            lines.append("")
-            lines.append("phase totals:")
-            for name, total in self.phase_totals().items():
-                lines.append(f"  {total:>10.4f}  {name}")
-        return "\n".join(lines)

@@ -213,8 +213,8 @@ class Tracer:
 
         The event is recorded at *exit* so ``dur`` (simulated seconds
         spent inside the span) is known; spans are for control actions
-        that advance the clock, not for wall-clock timing (that is
-        :mod:`repro.obs.profile`'s job).
+        that advance the clock, not for wall-clock timing (the repository
+        benchmark, ``perfbench/``, times layers from outside the program).
         """
         started = self._clock()
         try:

@@ -253,10 +253,10 @@ def _substitute(value: Any, params: Mapping[str, Any], meta: Mapping[str, Any], 
         value = params[value[1:]]
     if meta.get("integer") and not isinstance(value, int):
         raise ScenarioError(f"{where}: expected an integer, got {value!r}")
-    if meta.get("positive") and value <= 0:
+    if meta.get("positive") and not value > 0:
         raise ScenarioError(f"{where}: must be > 0, got {value!r}")
     minimum = meta.get("minimum")
-    if minimum is not None and value < minimum:
+    if minimum is not None and not value >= minimum:
         raise ScenarioError(f"{where}: must be >= {minimum}, got {value!r}")
     return value
 

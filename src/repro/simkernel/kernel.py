@@ -40,8 +40,9 @@ class Simulator:
     """
 
     #: Hook copied onto new instances at construction.  The kernel knows
-    #: nothing about observers; ``repro.obs.profile`` installs its timing
-    #: hook here.  ``None`` (the default) keeps dispatch a direct call.
+    #: nothing about observers; the repository benchmark (see
+    #: ``perfbench/README.md``) installs its per-layer timing hook here.
+    #: ``None`` (the default) keeps dispatch a direct call.
     default_dispatch_hook: Optional[DispatchHook] = None
 
     def __init__(self, seed: int = 0) -> None:

@@ -28,7 +28,7 @@ class TestBuildContext:
         assert ctx.now == 0.0
 
     def test_engine_config_reaches_the_network(self):
-        config = EngineConfig(max_rate_mbps=7.0, incremental=False)
+        config = EngineConfig(max_rate_mbps=7.0, full_solve_fraction=0.0)
         ctx = build_context(topology=_topo(), engine_config=config)
         assert ctx.network.engine.config is config
         assert ctx.network.max_rate_mbps == 7.0

@@ -163,7 +163,7 @@ class TestSolveModes:
         assert result.mode == "full"
 
     def test_incremental_disabled_forces_full(self):
-        engine = AllocationEngine(EngineConfig(incremental=False))
+        engine = AllocationEngine(EngineConfig(full_solve_fraction=0.0))
         left = _flow("L", [_link("ll", 10.0)])
         right = _flow("R", [_link("rl", 10.0)])
         engine.add_flow(left)

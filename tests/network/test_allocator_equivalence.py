@@ -110,5 +110,5 @@ def test_low_fallback_threshold_still_exact(seed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_non_incremental_baseline_matches_scratch(seed):
-    engine = _churn(seed, steps=60, config=EngineConfig(incremental=False))
+    engine = _churn(seed, steps=60, config=EngineConfig(full_solve_fraction=0.0))
     assert engine.counters.incremental_solves == 0

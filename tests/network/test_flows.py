@@ -14,12 +14,14 @@ def _link():
 
 class TestValidation:
     def test_non_positive_demand_rejected(self):
-        with pytest.raises(ValueError):
-            Flow("f", "a", "b", [], demand_mbps=0.0)
+        for demand in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                Flow("f", "a", "b", [], demand_mbps=demand)
 
     def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            Flow("f", "a", "b", [], size_mbit=-1.0)
+        for size in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                Flow("f", "a", "b", [], size_mbit=size)
 
 
 class TestProgress:

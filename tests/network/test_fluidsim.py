@@ -1,11 +1,13 @@
 """Fluid network end-to-end: transfers, sharing, rerouting, policies."""
 
 import math
+import random
 
 import pytest
 
 from repro.network.fluidsim import FluidNetwork
 from repro.network.topology import NodeKind, Topology
+from repro.simkernel.kernel import Simulator
 
 
 class TestSingleTransfer:
@@ -125,8 +127,16 @@ class TestControls:
         assert done == [pytest.approx(6.0)]
 
     def test_invalid_capacity_rejected(self, net):
-        with pytest.raises(ValueError):
-            net.set_link_capacity("r1->r2", 0.0)
+        for capacity in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                net.set_link_capacity("r1->r2", capacity)
+        transfer = net.start_stream("server", "client", demand_mbps=1.0)
+        for demand in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                net.set_demand(transfer, demand)
+            with pytest.raises(ValueError):
+                net.update_streams([(transfer, demand, None)])
+        assert transfer.flow.demand_mbps == 1.0
 
     def test_negative_capacity_rejected(self, net):
         with pytest.raises(ValueError, match="capacity must be positive"):
@@ -203,3 +213,91 @@ class TestAccounting:
 
         with _pytest.raises(NoRouteError):
             net.path_rtt_ms("server", "client")
+
+
+def _multi_path_net(sim):
+    """Two sources, three peering points, two sinks: every pair has 3 paths."""
+    topo = Topology("mesh")
+    for src in ("s1", "s2"):
+        topo.add_node(src, NodeKind.SERVER)
+    for via in ("p1", "p2", "p3"):
+        topo.add_node(via, NodeKind.PEERING)
+    for dst in ("d1", "d2"):
+        topo.add_node(dst, NodeKind.CLIENT)
+    for i, via in enumerate(("p1", "p2", "p3")):
+        for src in ("s1", "s2"):
+            topo.add_link(src, via, 7.0 + 3.0 * i, delay_ms=1.0 + i)
+        for dst in ("d1", "d2"):
+            topo.add_link(via, dst, 11.0 - 2.0 * i, delay_ms=1.0 + i)
+    return FluidNetwork(sim, topo)
+
+
+def _assert_exact_loads(net):
+    """Every link's load is the sorted-id sum of its members' rates, to the bit."""
+    members = {}
+    for flow in sorted(net.active_flows(), key=lambda flow: flow.flow_id):
+        for link in flow.path:
+            members.setdefault(link.link_id, []).append(flow.rate_mbps)
+    for link in net.topology.links():
+        expected = sum(members.get(link.link_id, []))
+        assert net.engine.link_loads.get(link.link_id, 0.0) == expected, link.link_id
+        assert net.link_stats[link.link_id].current_load_mbps == expected, link.link_id
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_link_loads_exact_under_churn(seed):
+    rng = random.Random(seed)
+    sim = Simulator(seed=seed)
+    net = _multi_path_net(sim)
+    transfers = []
+    completions = []
+
+    def on_complete(transfer):
+        completions.append(transfer)
+        _assert_exact_loads(net)
+
+    def live():
+        return [t for t in transfers if not t.done]
+
+    def demand():
+        return math.inf if rng.random() < 0.3 else rng.uniform(0.5, 9.0)
+
+    for _ in range(150):
+        op = rng.choice(
+            ["transfer", "transfer", "stream", "demand", "weight", "abort",
+             "capacity", "via", "batch", "advance", "advance"]
+        )
+        src, dst = rng.choice(("s1", "s2")), rng.choice(("d1", "d2"))
+        owner = rng.choice(("A", "B"))
+        if op == "transfer" or not live():
+            transfers.append(net.start_transfer(
+                src, dst, rng.uniform(0.0, 20.0), on_complete=on_complete,
+                demand_mbps=demand(), owner=owner,
+            ))
+        elif op == "stream":
+            transfers.append(net.start_stream(
+                src, dst, rng.uniform(0.5, 9.0), owner=owner,
+                weight=rng.choice((1.0, 2.5, 40.0)),
+            ))
+        elif op == "demand":
+            net.set_demand(rng.choice(live()), demand())
+        elif op == "weight":
+            net.set_weight(rng.choice(live()), rng.uniform(0.5, 30.0))
+        elif op == "abort":
+            net.abort(rng.choice(live()))
+        elif op == "capacity":
+            link = rng.choice(list(net.topology.links()))
+            net.set_link_capacity(link.link_id, rng.uniform(1.0, 15.0))
+        elif op == "via":
+            net.set_via_policy(owner, rng.choice(("p1", "p2", "p3", None)))
+        elif op == "batch":
+            picked = rng.sample(live(), min(3, len(live())))
+            net.update_streams(
+                (t, rng.uniform(0.5, 9.0), rng.choice((None, 3.0))) for t in picked
+            )
+        else:
+            sim.run(until=sim.now + rng.uniform(0.1, 3.0))
+        _assert_exact_loads(net)
+    sim.run(until=sim.now + 100.0)
+    _assert_exact_loads(net)
+    assert completions

@@ -217,6 +217,15 @@ class TestCompareArtifacts:
         current = _artifact(rows=[{"wall_s": 99.0, "events_per_sec": 1.0}])
         assert analyze.compare_artifacts(baseline, current) == []
 
+    def test_simulated_time_columns_are_gated(self):
+        # A model quantity in simulated seconds is deterministic, so its
+        # drift is a regression even though the column says "time".
+        baseline = _artifact(rows=[{"mean_join_time_s": 0.001}])
+        current = _artifact(rows=[{"mean_join_time_s": 0.249}])
+        (reg,) = analyze.compare_artifacts(baseline, current)
+        assert reg["kind"] == "value-drift"
+        assert "mean_join_time_s" in reg["where"]
+
     def test_non_numeric_and_bool_columns_ignored(self):
         baseline = _artifact(rows=[{"mode": "mini", "ok": True}])
         current = _artifact(rows=[{"mode": "other", "ok": False}])

@@ -133,21 +133,6 @@ class TestTraceCommand:
         assert "trace is empty" in captured.err
 
 
-class TestProfileCommand:
-    def test_profile_reports_handlers(self, synthetic_registry, capsys):
-        rc = main(["profile", "e99", "--seeds", "0", "--top", "5"])
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert "handler" in captured.out
-        assert "e99/mini" in captured.out  # phase totals by exp/variant
-
-    def test_profile_with_no_events_is_rc1(self, synthetic_registry, capsys):
-        rc = main(["profile", "e98", "--seeds", "0"])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert "no events" in captured.err
-
-
 class TestRunJsonStdout:
     def test_json_format_emits_pure_json_on_stdout(
         self, synthetic_registry, capsys

@@ -1,21 +1,8 @@
-"""Handler profiler: kernel hook wiring, accounting, phases."""
+"""The sanctioned host-clock read."""
 
 from __future__ import annotations
 
-import functools
-
-import pytest
-
-from repro.obs.profile import HandlerProfiler, _qualname, wall_clock
-from repro.simkernel.kernel import Simulator
-
-
-def _noop() -> None:
-    pass
-
-
-def _record(log: list, value: int) -> None:
-    log.append(value)
+from repro.obs.profile import wall_clock
 
 
 class TestWallClock:
@@ -23,130 +10,3 @@ class TestWallClock:
         first = wall_clock()
         second = wall_clock()
         assert second >= first
-
-
-class TestQualname:
-    def test_plain_function(self):
-        assert _qualname(_noop) == f"{__name__}._noop"
-
-    def test_method(self):
-        sim = Simulator(seed=0)
-        assert "Simulator" in _qualname(sim.run)
-
-    def test_partial(self):
-        wrapped = functools.partial(_record, [], 1)
-        assert _qualname(wrapped) == f"partial({__name__}._record)"
-
-
-class TestInstall:
-    def test_install_sets_class_hook(self):
-        profiler = HandlerProfiler()
-        profiler.install()
-        assert Simulator.default_dispatch_hook is not None
-        profiler.uninstall()
-        assert Simulator.default_dispatch_hook is None
-
-    def test_uninstall_is_idempotent(self):
-        profiler = HandlerProfiler()
-        profiler.install()
-        profiler.uninstall()
-        profiler.uninstall()
-        assert Simulator.default_dispatch_hook is None
-
-    def test_double_install_rejected(self):
-        first, second = HandlerProfiler(), HandlerProfiler()
-        first.install()
-        with pytest.raises(RuntimeError):
-            second.install()
-        first.uninstall()
-
-    def test_existing_simulators_are_untouched(self):
-        before = Simulator(seed=0)
-        profiler = HandlerProfiler()
-        profiler.install()
-        try:
-            before.schedule(1.0, _noop)
-            before.run()
-        finally:
-            profiler.uninstall()
-        assert profiler.events == 0
-
-
-class TestAccounting:
-    def test_dispatch_counts_and_preserves_behavior(self):
-        profiler = HandlerProfiler()
-        profiler.install()
-        log: list = []
-        try:
-            sim = Simulator(seed=0)
-            sim.schedule(1.0, _record, log, 1)
-            sim.schedule(2.0, _record, log, 2)
-            sim.schedule(3.0, _noop)
-            sim.run()
-        finally:
-            profiler.uninstall()
-        assert log == [1, 2]  # handlers actually executed, in time order
-        assert profiler.events == 3
-        handlers = dict(
-            (name, calls) for name, calls, _ in profiler.top_handlers(top=10)
-        )
-        assert handlers[f"{__name__}._record"] == 2
-        assert handlers[f"{__name__}._noop"] == 1
-
-    def test_handler_exception_still_accounted(self):
-        def boom() -> None:
-            raise RuntimeError("down")
-
-        profiler = HandlerProfiler()
-        profiler.install()
-        try:
-            sim = Simulator(seed=0)
-            sim.schedule(1.0, boom)
-            with pytest.raises(RuntimeError):
-                sim.run()
-        finally:
-            profiler.uninstall()
-        assert profiler.events == 1
-
-    def test_phase_attribution(self):
-        profiler = HandlerProfiler()
-        profiler.install()
-        try:
-            with profiler.phase("alpha"):
-                sim = Simulator(seed=0)
-                sim.schedule(1.0, _noop)
-                sim.run()
-            with profiler.phase("beta"):
-                sim = Simulator(seed=0)
-                sim.schedule(1.0, _noop)
-                sim.run()
-        finally:
-            profiler.uninstall()
-        totals = profiler.phase_totals()
-        assert sorted(totals) == ["alpha", "beta"]
-        assert all(value >= 0.0 for value in totals.values())
-
-    def test_snapshot_and_report(self):
-        profiler = HandlerProfiler()
-        profiler.install()
-        try:
-            with profiler.phase("p"):
-                sim = Simulator(seed=0)
-                sim.schedule(1.0, _noop)
-                sim.run()
-        finally:
-            profiler.uninstall()
-        snap = profiler.snapshot()
-        assert snap["events"] == 1
-        assert f"{__name__}._noop" in snap["handlers"]
-        assert list(snap["phases"]) == ["p"]
-        text = profiler.report(top=5)
-        assert "_noop" in text
-        assert "phase totals:" in text
-
-    def test_top_handlers_respects_limit(self):
-        profiler = HandlerProfiler()
-        for index in range(5):
-            profiler._by_handler[f"h{index}"] = (1, float(index))
-        rows = profiler.top_handlers(top=2)
-        assert [name for name, _, _ in rows] == ["h4", "h3"]

@@ -44,6 +44,18 @@ def _negative_degraded_default(data):
     data["params"]["degraded_rate_mbps"] = -1
 
 
+def _nan_cache(data):
+    data["cdns"][0]["servers"][0]["cache_mbit"] = float("nan")
+
+
+def _nan_warm_fraction(data):
+    data["cdns"][0]["warm_top_fraction"] = float("nan")
+
+
+def _nan_degraded_default(data):
+    data["params"]["degraded_rate_mbps"] = float("nan")
+
+
 #: (mutation of the coarse-control spec dict, path the message must name)
 CASES = {
     "non-string-owner": (_non_string_owner, "scenario.topology.build[0].node.owner"),
@@ -55,6 +67,11 @@ CASES = {
     ),
     "negative-degraded-rate": (
         _negative_degraded_default, "scenario.cdns[0].servers[0].degraded_rate_mbps"
+    ),
+    "nan-cache": (_nan_cache, "scenario.cdns[0].servers[0].cache_mbit"),
+    "nan-warm-fraction": (_nan_warm_fraction, "scenario.cdns[0].warm_top_fraction"),
+    "nan-degraded-rate": (
+        _nan_degraded_default, "scenario.cdns[0].servers[0].degraded_rate_mbps"
     ),
 }
 

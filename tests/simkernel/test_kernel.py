@@ -101,3 +101,38 @@ class TestDeterminism:
             sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.events_executed == 4
+
+
+
+class TestDispatchHook:
+    """The seam an external timer (the repository benchmark) installs into."""
+
+    def test_hook_sees_every_event_and_preserves_behavior(self):
+        log, seen = [], []
+
+        def hook(now, fn, args):
+            seen.append(now)
+            fn(*args)
+
+        Simulator.default_dispatch_hook = hook
+        try:
+            sim = Simulator(seed=0)
+        finally:
+            Simulator.default_dispatch_hook = None
+        sim.schedule(2.0, log.append, 2)
+        sim.schedule(1.0, log.append, 1)
+        sim.schedule(3.0, lambda: None)
+        sim.run()
+        assert log == [1, 2]
+        assert seen == [1.0, 2.0, 3.0]
+
+    def test_existing_simulators_are_untouched(self):
+        before = Simulator(seed=0)
+        seen = []
+        Simulator.default_dispatch_hook = lambda now, fn, args: seen.append(now)
+        try:
+            before.schedule(1.0, lambda: None)
+            before.run()
+        finally:
+            Simulator.default_dispatch_hook = None
+        assert seen == []
