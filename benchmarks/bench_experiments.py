@@ -4,8 +4,8 @@ Replaces the fourteen per-experiment ``bench_e*`` files: the table to
 regenerate, its canonical configuration, and the shape assertions all
 live in each experiment's registered
 :class:`~repro.experiments.spec.ExperimentSpec`, so this file is just
-the loop.  Bespoke benches that don't map to one spec variant
-(``bench_allocator.py``, ``bench_bidirectional.py``) stay separate.
+the loop.  The bespoke bench that doesn't map to one spec variant
+(``bench_bidirectional.py``) stays separate.
 """
 
 from __future__ import annotations

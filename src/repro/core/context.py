@@ -9,11 +9,6 @@ bundles them, :func:`build_context` is the single assembly point, and
 the control-plane constructors (:class:`~repro.core.appp.AppPController`,
 :class:`~repro.core.infp.StatusQuoInfP`, ...) accept a context in place
 of the individual pieces.
-
-An experiment that wants the from-scratch allocator (ablation), a
-different full-solve threshold or a different per-flow rate cap passes
-an :class:`EngineConfig` to :func:`build_context`; the network's engine
-owns it (``ctx.network.engine.config``).
 """
 
 from __future__ import annotations
@@ -22,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from repro.core.registry import OptInRegistry
-from repro.network.allocator import EngineConfig
 from repro.obs.trace import TRACER
 from repro.network.fluidsim import FluidNetwork
 from repro.network.topology import Topology
@@ -77,7 +71,6 @@ def build_context(
     topology: Optional[Topology] = None,
     seed: int = 0,
     name: str = "net",
-    engine_config: Optional[EngineConfig] = None,
     registry: Optional[OptInRegistry] = None,
 ) -> SimContext:
     """Assemble a simulated world: the one entry point experiments use.
@@ -89,8 +82,6 @@ def build_context(
             its links already added (the scenario builders do).
         seed: Root seed of the simulator's RNG streams.
         name: Name of the topology when one is created here.
-        engine_config: Allocation-engine configuration, including the
-            per-flow rate cap; defaults to :class:`EngineConfig`.
         registry: Opt-in registry; a fresh empty one when omitted.
     """
     sim = Simulator(seed=seed)
@@ -100,7 +91,7 @@ def build_context(
     TRACER.bind_clock(lambda: sim.now)
     if topology is None:
         topology = Topology(name)
-    network = FluidNetwork(sim, topology, engine_config=engine_config)
+    network = FluidNetwork(sim, topology)
     return SimContext(
         sim=sim,
         topology=topology,

@@ -12,12 +12,7 @@ points, not per-packet behaviour.
 from repro.network.topology import Link, Node, NodeKind, Topology
 from repro.network.flows import Flow, FlowState
 from repro.network.maxmin import max_min_allocation
-from repro.network.allocator import (
-    AllocationEngine,
-    EngineConfig,
-    EngineCounters,
-    SolveResult,
-)
+from repro.network.allocator import AllocationEngine, EngineCounters, SolveResult
 from repro.network.routing import Router
 from repro.network.fluidsim import FluidNetwork, Transfer
 from repro.network.linkstats import CongestionDetector, LinkStats
@@ -25,7 +20,6 @@ from repro.network.linkstats import CongestionDetector, LinkStats
 __all__ = [
     "AllocationEngine",
     "CongestionDetector",
-    "EngineConfig",
     "EngineCounters",
     "Flow",
     "FlowState",

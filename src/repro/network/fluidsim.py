@@ -3,12 +3,12 @@
 :class:`FluidNetwork` binds a topology to a simulator.  Transfers and
 persistent streams become :class:`~repro.network.flows.Flow` objects;
 whenever the flow set, a demand, or a link capacity changes the network
-tells its :class:`~repro.network.allocator.AllocationEngine` what
-changed, and the engine re-solves only the affected component of the
-flow–link graph, updating link statistics for the links whose load
-moved and rescheduling the next completion event.  Between changes all
-flows progress fluidly at constant rates, so the simulation cost scales
-with the number and *locality* of changes, not with transferred bytes.
+tells its :class:`~repro.network.allocator.AllocationEngine`, which
+re-solves every flow in one max-min pass; the network then updates
+link statistics for the links whose load moved and reschedules the
+next completion event.  Between changes all flows progress fluidly at
+constant rates, so the simulation cost scales with the number of
+changes, not with transferred bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import itertools
 import math
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.network.allocator import AllocationEngine, EngineConfig
+from repro.network.allocator import AllocationEngine
 from repro.network.flows import Flow, FlowState
 from repro.network.linkstats import LinkStats
 from repro.network.routing import Router
@@ -104,20 +104,13 @@ class FluidNetwork:
     Args:
         sim: Simulator providing the clock and event queue.
         topology: The (mutable-capacity) topology.
-        engine_config: Allocation-engine tuning, including the per-flow
-            rate cap (``max_rate_mbps``); defaults to :class:`EngineConfig`.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        topology: Topology,
-        engine_config: Optional[EngineConfig] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, topology: Topology) -> None:
         self.sim = sim
         self.topology = topology
         self.router = Router(topology)
-        self.engine = AllocationEngine(engine_config)
+        self.engine = AllocationEngine()
         # flow_id -> handle of every active flow, in start order (which
         # fixes completion and rerouting order).
         self._transfers: Dict[str, Transfer] = {}
@@ -131,11 +124,6 @@ class FluidNetwork:
             for link in topology.links()
         }
         self.completed_transfers = 0
-
-    @property
-    def max_rate_mbps(self) -> float:
-        """Per-flow rate cap (lives in the engine config)."""
-        return self.engine.config.max_rate_mbps
 
     def allocation_counters(self) -> Dict[str, int]:
         """Engine + routing-cache counters for benchmarks and tests."""
@@ -208,7 +196,7 @@ class FluidNetwork:
             return
         self._sync_to_now()
         transfer.flow.demand_mbps = demand_mbps
-        self.engine.update_demand(transfer.flow)
+        self.engine.invalidate()
         self._reallocate()
 
     def set_weight(self, transfer: Transfer, weight: float) -> None:
@@ -219,7 +207,7 @@ class FluidNetwork:
             return
         self._sync_to_now()
         transfer.flow.weight = weight
-        self.engine.update_weight(transfer.flow)
+        self.engine.invalidate()
         self._reallocate()
 
     def update_streams(
@@ -232,7 +220,7 @@ class FluidNetwork:
         Routing each change through :meth:`set_demand` would trigger one
         reallocation per flow; the cohort engine updates every cohort
         stream once per tick, so batching keeps that tick at a single
-        solve of the affected component.
+        solve.
         """
         self._sync_to_now()
         dirty = False
@@ -249,9 +237,9 @@ class FluidNetwork:
                     )
                 flow.weight = weight
             flow.demand_mbps = demand_mbps
-            self.engine.update_demand(flow)
             dirty = True
         if dirty:
+            self.engine.invalidate()
             self._reallocate()
 
     def reroute(
@@ -275,7 +263,7 @@ class FluidNetwork:
         self._sync_to_now()
         self.topology.link(link_id).capacity_mbps = capacity_mbps
         self.link_stats[link_id].capacity_mbps = capacity_mbps
-        self.engine.update_capacity(link_id)
+        self.engine.invalidate()
         self._reallocate()
 
     def set_via_policy(self, owner: str, via: Optional[str]) -> None:
@@ -314,8 +302,14 @@ class FluidNetwork:
         if not weights:
             raise ValueError("weights must not be empty")
         total = sum(weights.values())
-        if total <= 0 or any(w < 0 for w in weights.values()):
-            raise ValueError(f"weights must be non-negative and sum > 0: {weights!r}")
+        # A finite total of non-negative weights bounds every weight; the
+        # negated comparisons also reject NaN.
+        if not (math.isfinite(total) and total > 0) or any(
+            not w >= 0 for w in weights.values()
+        ):
+            raise ValueError(
+                f"weights must be finite, non-negative and sum > 0: {weights!r}"
+            )
         normalized = {via: w / total for via, w in weights.items() if w > 0}
         self._via_policy.pop(owner, None)
         self._split_policy[owner] = _SplitState(weights=normalized)
@@ -447,12 +441,12 @@ class FluidNetwork:
             transfer.flow.progress(now)
 
     def _reallocate(self) -> None:
-        """Re-solve the dirty component and reschedule the next completion.
+        """Re-solve rates and reschedule the next completion.
 
         Callers must have already called :meth:`_sync_to_now` and routed
         their state change through the engine's mutation methods; the
-        engine then recomputes rates for exactly the flows the change
-        can affect and reports which link loads moved.
+        engine then recomputes every rate and reports which link loads
+        moved.
         """
         result = self.engine.solve()
         for link_id in result.changed_links:

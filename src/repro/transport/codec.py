@@ -174,14 +174,16 @@ def encode(message: object) -> str:
 def decode(frame: str) -> object:
     """One JSON line -> the typed message it encodes.
 
-    Raises :class:`CodecError` for malformed JSON, an unknown envelope
-    or schema version, an unregistered type, or a body that fails field
-    coercion.
+    Raises :class:`CodecError` for malformed JSON, JSON nested deeper
+    than the parser's recursion limit, an unknown envelope or schema
+    version, an unregistered type, or a body that fails field coercion.
     """
     try:
         envelope = json.loads(frame)
     except ValueError as error:
         raise CodecError(f"malformed frame: {error}") from None
+    except RecursionError:
+        raise CodecError("malformed frame: nested too deeply") from None
     if not isinstance(envelope, dict):
         raise CodecError(f"frame is not an envelope object: {frame[:80]!r}")
     version = envelope.get("v")

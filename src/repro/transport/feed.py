@@ -30,6 +30,20 @@ from repro.transport.base import (
 from repro.transport.codec import CodecError, QueryRequest, decode
 
 
+def _feed_line(direction: str, seq: int, t: float, frame: str) -> str:
+    """One feed record; ``frame`` embeds the parsed envelope if it parses.
+
+    A frame that is not JSON, or is nested too deeply to parse or to
+    serialize again, is kept as the raw string.
+    """
+    record = {"dir": direction, "seq": seq, "t": t, "frame": frame}
+    try:
+        line = json.dumps({**record, "frame": json.loads(frame)}, sort_keys=True)
+    except (ValueError, RecursionError):
+        line = json.dumps(record, sort_keys=True)
+    return line + "\n"
+
+
 @register_transport("record")
 class RecordingTransport(Transport):
     """Tee every frame of ``inner`` into a JSONL feed file.
@@ -64,20 +78,8 @@ class RecordingTransport(Transport):
         return self.inner.pipelined
 
     def _write(self, direction: str, seq: int, frame: str) -> None:
-        if self._file.closed:
-            return
-        try:
-            parsed = json.loads(frame)
-        except ValueError:
-            parsed = frame
-        record = {
-            "dir": direction,
-            "seq": seq,
-            "t": self.clock(),
-            "frame": parsed,
-        }
-        self._file.write(json.dumps(record, sort_keys=True))
-        self._file.write("\n")
+        if not self._file.closed:
+            self._file.write(_feed_line(direction, seq, self.clock(), frame))
 
     def request(self, frame: str, timeout_s: float) -> str:
         self._seq += 1
@@ -134,20 +136,8 @@ class FrameRecorder:
         self.frames_recorded = 0
 
     def _write(self, direction: str, seq: int, frame: str) -> None:
-        if self._file.closed:
-            return
-        try:
-            parsed = json.loads(frame)
-        except ValueError:
-            parsed = frame
-        record = {
-            "dir": direction,
-            "seq": seq,
-            "t": self.clock(),
-            "frame": parsed,
-        }
-        self._file.write(json.dumps(record, sort_keys=True))
-        self._file.write("\n")
+        if not self._file.closed:
+            self._file.write(_feed_line(direction, seq, self.clock(), frame))
 
     def __call__(self, frame: str) -> str:
         self._seq += 1

@@ -34,6 +34,7 @@ from repro.transport.base import (
     TransportTimeout,
     register_transport,
 )
+from repro.transport.codec import ErrorReply, encode
 from repro.transport.service import SimPacer
 
 FrameHandler = Callable[[str], str]
@@ -125,7 +126,11 @@ class TcpGlassServer:
         self.connections += 1
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # the line is over MAX_FRAME_BYTES
+                    await self._refuse_oversized(reader, writer)
+                    break
                 if not line:
                     break
                 frame = line.decode("utf-8", errors="replace").strip()
@@ -143,6 +148,28 @@ class TcpGlassServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+
+    @staticmethod
+    async def _refuse_oversized(
+        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Answer an oversized frame with one :class:`ErrorReply`, then EOF.
+
+        The stream has lost its frame boundary, so the connection ends
+        here.  Input is read and dropped until the client closes its
+        side: closing a socket with unread input resets the connection,
+        which could destroy the reply in flight.
+        """
+        reply = ErrorReply(
+            msg_id=0,
+            error="CodecError",
+            message=f"frame exceeds {MAX_FRAME_BYTES} bytes",
+        )
+        writer.write(encode(reply).encode("utf-8") + b"\n")
+        writer.write_eof()
+        await writer.drain()
+        while await reader.read(64 * 1024):
+            pass
 
 
 @register_transport("tcp")

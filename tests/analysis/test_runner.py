@@ -32,7 +32,7 @@ def test_module_info_fixture_tree_and_outsiders() -> None:
     )
     assert module == "repro.core.bad_floateq"
     assert layer == "core"
-    assert module_info(Path("benchmarks/bench_allocator.py")) == (None, None)
+    assert module_info(Path("benchmarks/bench_experiments.py")) == (None, None)
 
 
 def test_cli_exit_one_and_json_schema_on_findings() -> None:

@@ -7,7 +7,6 @@ from repro.cdn.server import CdnServer
 from repro.core.appp import StatusQuoAppP
 from repro.core.context import SimContext, build_context, resolve_sim_network
 from repro.core.infp import EonaInfP, StatusQuoInfP
-from repro.network.allocator import EngineConfig
 from repro.network.topology import NodeKind, Topology
 
 
@@ -26,12 +25,6 @@ class TestBuildContext:
         assert ctx.network.topology is ctx.topology
         assert ctx.rng is ctx.sim.rng
         assert ctx.now == 0.0
-
-    def test_engine_config_reaches_the_network(self):
-        config = EngineConfig(max_rate_mbps=7.0, full_solve_fraction=0.0)
-        ctx = build_context(topology=_topo(), engine_config=config)
-        assert ctx.network.engine.config is config
-        assert ctx.network.max_rate_mbps == 7.0
 
     def test_fresh_topology_when_omitted(self):
         ctx = build_context(name="empty")

@@ -1,10 +1,10 @@
-"""Unit tests for the stateful incremental allocation engine."""
+"""Unit tests for the stateful allocation engine."""
 
 import math
 
 import pytest
 
-from repro.network.allocator import AllocationEngine, EngineConfig
+from repro.network.allocator import MAX_RATE_MBPS, AllocationEngine
 from repro.network.flows import Flow
 from repro.network.fluidsim import FluidNetwork
 from repro.network.topology import Link, NodeKind, Topology
@@ -99,7 +99,7 @@ class TestBookkeeping:
         engine.add_flow(big)
         engine.solve()
         small.demand_mbps = 1.0
-        engine.update_demand(small)
+        engine.invalidate()
         result = engine.solve()
         assert abs(result.rates["small"] - 1.0) < EPS
         assert abs(result.rates["big"] - 9.0) < EPS
@@ -111,16 +111,17 @@ class TestBookkeeping:
         engine.add_flow(flow)
         engine.solve()
         link.capacity_mbps = 4.0
-        engine.update_capacity("l")
+        engine.invalidate()
         result = engine.solve()
         assert abs(result.rates["f"] - 4.0) < EPS
 
     def test_max_rate_cap_applies(self):
-        engine = AllocationEngine(EngineConfig(max_rate_mbps=2.5))
-        flow = _flow("f", [_link("l", 100.0)])
+        engine = AllocationEngine()
+        flow = _flow("f", [_link("l", 2 * MAX_RATE_MBPS)])
         engine.add_flow(flow)
         result = engine.solve()
-        assert abs(result.rates["f"] - 2.5) < EPS
+        assert result.rates["f"] == MAX_RATE_MBPS
+        assert engine.link_loads["l"] == MAX_RATE_MBPS
 
 
 class TestSolveModes:
@@ -133,48 +134,22 @@ class TestSolveModes:
         assert result.mode == "noop"
         assert engine.counters.noop_solves == 1
 
-    def test_disjoint_component_not_touched(self):
-        engine = AllocationEngine(EngineConfig(full_solve_fraction=0.9))
+    def test_every_solve_re_solves_every_flow(self):
+        engine = AllocationEngine()
         left = [_flow(f"L{i}", [_link("ll", 10.0)]) for i in range(2)]
         right = [_flow(f"R{i}", [_link("rl", 10.0)]) for i in range(2)]
         for flow in left + right:
             engine.add_flow(flow)
-        engine.solve()  # full: everything dirty on first solve
+        engine.solve()
         left[0].demand_mbps = 1.0
-        engine.update_demand(left[0])
-        result = engine.solve()
-        assert result.mode == "incremental"
-        # Only the left component's flows were re-solved.
-        assert set(result.rates) == {"L0", "L1"}
-        assert "rl" not in result.changed_links
-
-    def test_full_solve_fallback_when_component_spans_network(self):
-        engine = AllocationEngine(EngineConfig(full_solve_fraction=0.6))
-        shared = _link("shared", 10.0)
-        flows = [_flow(f"f{i}", [shared]) for i in range(4)]
-        for flow in flows:
-            engine.add_flow(flow)
-        engine.solve()
-        flows[0].demand_mbps = 1.0
-        engine.update_demand(flows[0])
-        result = engine.solve()
-        # All four flows share one link: the component is the whole
-        # network, so the engine falls back to a full solve.
-        assert result.mode == "full"
-
-    def test_incremental_disabled_forces_full(self):
-        engine = AllocationEngine(EngineConfig(full_solve_fraction=0.0))
-        left = _flow("L", [_link("ll", 10.0)])
-        right = _flow("R", [_link("rl", 10.0)])
-        engine.add_flow(left)
-        engine.add_flow(right)
-        engine.solve()
-        left.demand_mbps = 1.0
-        engine.update_demand(left)
+        engine.invalidate()
         result = engine.solve()
         assert result.mode == "full"
-        assert engine.counters.incremental_solves == 0
+        assert set(result.rates) == {"L0", "L1", "R0", "R1"}
+        # Only links whose load moved are reported.
+        assert result.changed_links == {"ll"}
         assert engine.counters.full_solves == 2
+        engine.check_consistency(left + right)
 
     def test_counters_accumulate(self):
         engine = AllocationEngine()
@@ -188,9 +163,7 @@ class TestSolveModes:
         assert counters["flows_active_peak"] == 3
         assert counters["flows_touched"] == 1 + 2 + 3
         assert (
-            counters["full_solves"]
-            + counters["incremental_solves"]
-            + counters["noop_solves"]
+            counters["full_solves"] + counters["noop_solves"]
             == counters["solve_calls"]
         )
 
@@ -212,7 +185,6 @@ class TestNetworkIntegration:
         for key in (
             "solve_calls",
             "full_solves",
-            "incremental_solves",
             "noop_solves",
             "flows_touched",
             "flows_active_peak",

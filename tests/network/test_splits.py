@@ -108,6 +108,11 @@ class TestNetworkSplits:
             net.set_split_policy("g", {"p1": -1.0, "p2": 2.0})
         with pytest.raises(ValueError):
             net.set_split_policy("g", {"p1": 0.0})
+        nan, inf = float("nan"), float("inf")
+        for weights in ({"p1": nan, "p2": 1.0}, {"p1": inf, "p2": 1.0}, {"p1": nan}):
+            with pytest.raises(ValueError):
+                net.set_split_policy("g", weights)
+        assert net.split_policy("g") is None
 
 
 class TestTeSplits:

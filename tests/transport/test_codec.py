@@ -60,6 +60,7 @@ class TestEnvelope:
         (lambda f: json.dumps({"v": WIRE_VERSION, "schemas": SCHEMA_VERSION,
                                "type": "Mystery", "body": {}}), "Mystery"),
         (lambda f: json.dumps(json.loads(f)["body"]), "envelope"),
+        (lambda f: "[" * 100_000, "nested too deeply"),
     ])
     def test_bad_frames_raise_codec_error(self, mangle, match):
         frame = encode(PeeringDecision(time=1.0, cdn="x", selected_peering="B"))

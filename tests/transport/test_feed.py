@@ -65,6 +65,17 @@ class TestRecording:
         assert [r["dir"] for r in records] == ["send", "recv"]
         assert records[1]["frame"]["type"] == "QueryReply"
 
+    def test_frame_recorder_keeps_a_too_deep_frame_raw(self, world, tmp_path):
+        feed = tmp_path / "server.jsonl"
+        recorder = FrameRecorder(world.service.handle_frame, str(feed))
+        frame = "[" * 100_000
+        reply = recorder(frame)
+        recorder.close()
+        assert json.loads(reply)["type"] == "ErrorReply"
+        records = [json.loads(line) for line in feed.read_text().splitlines()]
+        assert records[0]["frame"] == frame
+        assert records[1]["frame"]["type"] == "ErrorReply"
+
 
 class TestReplay:
     def test_same_queries_replay_to_the_same_answers(self, world, tmp_path):

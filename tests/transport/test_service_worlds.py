@@ -129,11 +129,12 @@ class TestSimPacer:
 
 class TestServiceErrorReplies:
     def test_codec_garbage_gets_an_error_reply_not_an_exception(self, world):
-        reply = world.service.handle_frame("definitely not a frame")
-        parsed = json.loads(reply)
-        assert parsed["type"] == "ErrorReply"
-        assert parsed["body"]["error"] == "CodecError"
-        assert world.service.requests_failed == 1
+        frames = ("definitely not a frame", "[" * 100_000)
+        for frame in frames:
+            parsed = json.loads(world.service.handle_frame(frame))
+            assert parsed["type"] == "ErrorReply"
+            assert parsed["body"]["error"] == "CodecError"
+        assert world.service.requests_failed == len(frames)
 
     def test_duplicate_owner_is_rejected(self, world):
         with pytest.raises(ValueError, match="duplicate"):

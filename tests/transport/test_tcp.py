@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 import time
 
@@ -16,6 +18,7 @@ from repro.transport import (
     TransportClosed,
     drain_trace,
 )
+from repro.transport.tcp import MAX_FRAME_BYTES
 
 
 @pytest.fixture
@@ -137,3 +140,23 @@ class TestFailure:
         transport.close()
         with pytest.raises(TransportClosed):
             transport.request("x", 1.0)
+
+
+class TestHostileFrames:
+    def test_oversized_frame_gets_one_error_reply_then_close(self, world, served):
+        address = ("127.0.0.1", served.bound_port)
+        with socket.create_connection(address, timeout=10.0) as sock:
+            sock.sendall(b"[" * (MAX_FRAME_BYTES + 1) + b"\n")
+            with sock.makefile("rb") as stream:
+                reply = stream.readline()
+                assert stream.read() == b""  # then the server hangs up
+        parsed = json.loads(reply)
+        assert parsed["type"] == "ErrorReply"
+        assert parsed["body"]["error"] == "CodecError"
+        # The server survives it: a second client is still served.
+        proxy, transport = proxy_for(served)
+        try:
+            result = proxy.query("appp", "congestion")
+        finally:
+            transport.close()
+        assert result.payload[0]["scope"] == "access"
