@@ -58,10 +58,6 @@ def render_baseline(findings: Sequence[Finding]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write_baseline(findings: Sequence[Finding], path: Path) -> None:
-    path.write_text(render_baseline(findings), encoding="utf-8")
-
-
 def load_baseline(path: Path) -> Dict[_Key, int]:
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))

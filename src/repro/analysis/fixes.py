@@ -43,10 +43,6 @@ class FixReport:
     def changed_files(self) -> List[str]:
         return [f.path for f in self.files if f.changed]
 
-    @property
-    def fixed_count(self) -> int:
-        return sum(f.fixed_findings for f in self.files)
-
 
 def _line_offsets(source: str) -> List[int]:
     offsets = [0]

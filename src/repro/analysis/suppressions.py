@@ -116,12 +116,3 @@ def is_suppressed(
     if ids is None:
         return False
     return "*" in ids or rule_id in ids
-
-
-def suppression_comments_by_line(
-    source: str,
-) -> Dict[int, List[SuppressionComment]]:
-    by_line: Dict[int, List[SuppressionComment]] = {}
-    for comment in collect_suppression_comments(source):
-        by_line.setdefault(comment.line, []).append(comment)
-    return by_line

@@ -143,12 +143,6 @@ class Cdn:
         return len(self._assignments)
 
     @property
-    def total_capacity(self) -> int:
-        return sum(
-            s.capacity_sessions for s in self.servers.values() if s.powered_on
-        )
-
-    @property
     def mean_load(self) -> float:
         powered = [s for s in self.servers.values() if s.powered_on]
         if not powered:

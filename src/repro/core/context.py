@@ -101,11 +101,6 @@ def build_context(
     )
 
 
-def resolve_sim(sim: Union[Simulator, SimContext]) -> Simulator:
-    """Accept either a simulator or a context where a sim is expected."""
-    return sim.sim if isinstance(sim, SimContext) else sim
-
-
 def resolve_sim_network(
     sim: Union[Simulator, SimContext],
     network: Optional[FluidNetwork],

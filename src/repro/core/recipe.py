@@ -113,18 +113,6 @@ class OwnershipMap:
         self._data[name] = datum
         return datum
 
-    def knob(self, name: str) -> Knob:
-        return self._knobs[name]
-
-    def datum(self, name: str) -> Datum:
-        return self._data[name]
-
-    def owner_of_knob(self, name: str) -> str:
-        return self._knobs[name].owner
-
-    def owner_of_datum(self, name: str) -> str:
-        return self._data[name].owner
-
 
 def derive_wide_interface(use_cases: Iterable[UseCase]) -> InterfaceSpec:
     """Recipe step 3: every cross-ownership (knob, datum) pair is a crossing.

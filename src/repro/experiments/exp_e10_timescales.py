@@ -204,11 +204,6 @@ def run_te_damping(
     return result
 
 
-def run(seed: int = 0, **kwargs) -> ExperimentResult:
-    """Headline table: the partial-coupling churn with damping ablation."""
-    return run_partial(seed=seed, **kwargs)
-
-
 register(
     ExperimentSpec(
         exp_id="e10",

@@ -122,30 +122,6 @@ def measure_allocator(n_flows: int, n_links: int = 50) -> Dict[str, object]:
     }
 
 
-def run(
-    record_counts: Tuple[int, ...] = (50_000, 200_000),
-    cardinalities: Tuple[int, ...] = (8, 200, 2000),
-    flow_counts: Tuple[int, ...] = (100, 1000, 5000),
-) -> ExperimentResult:
-    result = ExperimentResult(
-        name="E7-scalability",
-        notes="A2I aggregation throughput and allocator cost",
-    )
-    for n_records in record_counts:
-        for cardinality in cardinalities:
-            n_isps = max(1, cardinality // 4)
-            row = measure_aggregation(
-                n_records=n_records, n_cdns=4, n_isps=n_isps
-            )
-            row["kind"] = "aggregation"
-            result.add_row(**row)
-    for n_flows in flow_counts:
-        row = measure_allocator(n_flows)
-        row["kind"] = "allocator"
-        result.add_row(**row)
-    return result
-
-
 def run_aggregation_table(
     seed: int = 0,
     cardinalities: Tuple[int, ...] = (8, 200, 2000),

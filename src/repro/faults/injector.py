@@ -18,14 +18,12 @@ run-artifact metrics snapshot.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List
 
-from repro.core.context import SimContext, resolve_sim_network
+from repro.core.context import SimContext
 from repro.core.interfaces import LookingGlass
 from repro.faults.plan import FaultEvent, FaultPlan, PlanError
-from repro.network.fluidsim import FluidNetwork
 from repro.obs.trace import TRACER
-from repro.simkernel.kernel import Simulator
 
 #: Capacity a "killed" link is set to.  The fluid network rejects
 #: non-positive capacities (a link with zero capacity would divide the
@@ -38,9 +36,7 @@ class FaultInjector:
     """Applies a :class:`FaultPlan` to one simulated world.
 
     Args:
-        sim: The world's simulator, or its :class:`SimContext` (the
-            network is then taken from the context).
-        network: The fluid network, when ``sim`` is a bare simulator.
+        ctx: The world's :class:`SimContext` (simulator and network).
 
     Glasses and providers are attachment points the injector cannot
     discover from the network, so experiments register them by the
@@ -55,12 +51,9 @@ class FaultInjector:
     plan naming an unknown link or glass fails fast, not mid-run.
     """
 
-    def __init__(
-        self,
-        sim: Union[Simulator, SimContext],
-        network: Optional[FluidNetwork] = None,
-    ) -> None:
-        self.sim, self.network = resolve_sim_network(sim, network)
+    def __init__(self, ctx: SimContext) -> None:
+        self.sim = ctx.sim
+        self.network = ctx.network
         self._glasses: Dict[str, LookingGlass] = {}
         self._providers: Dict[str, Callable[[], None]] = {}
         self._saved_capacity: Dict[str, float] = {}

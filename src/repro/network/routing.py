@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
-from repro.network.topology import Link, Topology
+from repro.network.topology import Topology
 
 
 class NoRouteError(Exception):
@@ -72,10 +72,6 @@ class Router:
         except nx.NetworkXNoPath as exc:
             raise NoRouteError(f"no route {src!r}->{dst!r}") from exc
         return paths
-
-    def links_for(self, node_path: List[str]) -> List[Link]:
-        """Convenience passthrough to :meth:`Topology.path_links`."""
-        return self.topology.path_links(node_path)
 
     def _cached_path(self, src: str, dst: str, via: Optional[str]) -> List[str]:
         if self._cached_version != self.topology.version:

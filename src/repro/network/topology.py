@@ -184,9 +184,6 @@ class Topology:
     def link(self, link_id: str) -> Link:
         return self._links[link_id]
 
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self._nodes
-
     def nodes(self, kind: Optional[NodeKind] = None, owner: Optional[str] = None) -> List[Node]:
         """All nodes, optionally filtered by kind and/or owner."""
         result = []

@@ -52,10 +52,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def set_max(self, value: float) -> None:
-        """Keep the high-water mark (peak concurrency, peak state size)."""
-        self.value = max(self.value, float(value))
-
 
 class Histogram:
     """Counts of observations against fixed, ascending bucket edges.

@@ -1,25 +1,30 @@
-"""Typed bundles: the migrated legacy scenarios, generated from specs.
+"""Typed bundles: declared views of a compiled scenario world.
 
-Each of the seven hand-coded builders that used to live in
-``workloads/scenarios.py`` is now a committed spec under
-``scenarios/library/`` plus a thin adapter here that reshapes the
-generic :class:`~repro.scenarios.engine.ScenarioWorld` into the typed
-dataclass the experiments consume.  The same-seed trace-equivalence
-tests in ``tests/scenarios`` pin each adapter's world byte-identical to
-the builder it replaced.
+The seven worlds that used to be hand-coded builders in
+``workloads/scenarios.py`` are committed specs under
+``scenarios/library/``; each also has a typed dataclass here, which is
+what the experiments consume.  A bundle holds no logic: every field
+declares in its metadata where its value comes from in the generic
+:class:`~repro.scenarios.engine.ScenarioWorld`, and :func:`build_scenario`
+fills any bundle by one walk over ``dataclasses.fields``.  The six
+handles every bundle carries are declared once, on :class:`_Bundle`.
+The same-seed trace-equivalence tests in ``tests/scenarios`` pin each
+world byte-identical to the builder it replaced.
 
 :func:`build_scenario` is the single public constructor::
 
     scenario = build_scenario("flash-crowd", seed=3,
                               params={"n_clients": 50})
 
-Unknown names fall back to returning the raw :class:`ScenarioWorld`,
-which is how the fleet workloads (live-event, gaming, iot-beacons,
+Names without a bundle return the raw :class:`ScenarioWorld`, which is
+how the fleet workloads (live-event, gaming, iot-beacons,
 diurnal-regions) are consumed.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import operator
 import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional
@@ -49,294 +54,164 @@ __all__ = [
 ]
 
 
-# ----------------------------------------------------------------------
-# Figure 3: flash crowd behind a congested access network
-# ----------------------------------------------------------------------
+def _field(source: Callable[[ScenarioWorld], Any]) -> Any:
+    """A bundle field whose value is ``source(world)``."""
+    return dataclasses.field(metadata={"source": source})
+
+
+def _group(name: str) -> Any:
+    """The node ids of topology group ``name``."""
+    return _field(lambda world: world.group_nodes(name))
+
+
+def _link(ref: str) -> Any:
+    """The link id behind alias ``ref``."""
+    return _field(lambda world: world.link_id(ref))
+
+
+def _cdn(name: str) -> Any:
+    """The CDN declared as ``name``."""
+    return _field(lambda world: world.cdns[name])
+
+
+def _param(name: str) -> Any:
+    """The value parameter ``name`` was compiled with."""
+    return _field(lambda world: world.params[name])
+
+
+def _attr(path: str) -> Any:
+    """The world attribute at dotted ``path``."""
+    return _field(operator.attrgetter(path))
+
+
 @dataclass
-class FlashCrowdScenario:
+class _Bundle:
+    """The handles every bundle carries."""
+
+    sim: Simulator = _attr("sim")
+    topology: Topology = _attr("topology")
+    network: FluidNetwork = _attr("network")
+    registry: OptInRegistry = _attr("ctx.registry")
+    ctx: SimContext = _attr("ctx")
+    world: ScenarioWorld = _field(lambda world: world)
+
+
+# Figure 3: flash crowd behind a congested access network
+@dataclass
+class FlashCrowdScenario(_Bundle):
     """World for E2: two healthy CDNs, one narrow access segment."""
 
-    sim: Simulator
-    topology: Topology
-    network: FluidNetwork
-    cdns: List[Cdn]
-    catalog: ContentCatalog
-    client_nodes: List[str]
-    access_link: str
-    registry: OptInRegistry
-    ctx: SimContext
-    world: Optional[ScenarioWorld] = None
+    cdns: List[Cdn] = _attr("cdn_list")
+    catalog: ContentCatalog = _attr("catalog")
+    client_nodes: List[str] = _group("clients")
+    access_link: str = _link("access")
 
 
-# ----------------------------------------------------------------------
 # Figure 5: the CDN-switching / peering-selection oscillator
-# ----------------------------------------------------------------------
 @dataclass
-class OscillationScenario:
+class OscillationScenario(_Bundle):
     """World for E4: CDN X via peerings B or C; CDN Y via C only."""
 
-    sim: Simulator
-    topology: Topology
-    network: FluidNetwork
-    cdn_x: Cdn
-    cdn_y: Cdn
-    catalog: ContentCatalog
-    client_nodes: List[str]
-    groups: List[EgressGroup]
-    registry: OptInRegistry
-    peering_b_link: str
-    peering_c_link: str
-    ctx: SimContext
-    world: Optional[ScenarioWorld] = None
+    cdn_x: Cdn = _cdn("cdnX")
+    cdn_y: Cdn = _cdn("cdnY")
+    catalog: ContentCatalog = _attr("catalog")
+    client_nodes: List[str] = _group("clients")
+    groups: List[EgressGroup] = _field(lambda world: list(world.egress))
+    peering_b_link: str = _link("peering_b")
+    peering_c_link: str = _link("peering_c")
 
     @property
     def cdns(self) -> List[Cdn]:
         return [self.cdn_x, self.cdn_y]
 
 
-# ----------------------------------------------------------------------
 # §2 "coarse control": one bad server inside a warm CDN
-# ----------------------------------------------------------------------
 @dataclass
-class CoarseControlScenario:
+class CoarseControlScenario(_Bundle):
     """World for E1: warm CDN X with one degraded server, cold CDN Y."""
 
-    sim: Simulator
-    topology: Topology
-    network: FluidNetwork
-    cdn_x: Cdn
-    cdn_y: Cdn
-    catalog: ContentCatalog
-    client_nodes: List[str]
-    registry: OptInRegistry
-    ctx: SimContext
-    world: Optional[ScenarioWorld] = None
+    cdn_x: Cdn = _cdn("cdnX")
+    cdn_y: Cdn = _cdn("cdnY")
+    catalog: ContentCatalog = _attr("catalog")
+    client_nodes: List[str] = _group("clients")
 
     @property
     def cdns(self) -> List[Cdn]:
         return [self.cdn_x, self.cdn_y]
 
 
-# ----------------------------------------------------------------------
 # §2 "configuration changes": server energy saving
-# ----------------------------------------------------------------------
+def _server_uplinks(world: ScenarioWorld) -> Dict[str, str]:
+    """CDN server id -> the uplink of the edge node that hosts it."""
+    edges = zip(world.group_nodes("edges"), world.group_links("edges"))
+    return {f"cdn.{node}": link for node, link in edges}
+
+
 @dataclass
-class EnergyScenario:
+class EnergyScenario(_Bundle):
     """World for E5: one CDN with several clusters, diurnal demand."""
 
-    sim: Simulator
-    topology: Topology
-    network: FluidNetwork
-    cdn: Cdn
-    catalog: ContentCatalog
-    client_nodes: List[str]
-    registry: OptInRegistry
-    server_uplinks: Dict[str, str]
-    ctx: SimContext
-    world: Optional[ScenarioWorld] = None
+    cdn: Cdn = _cdn("cdn")
+    catalog: ContentCatalog = _attr("catalog")
+    client_nodes: List[str] = _group("clients")
+    server_uplinks: Dict[str, str] = _field(_server_uplinks)
 
 
-# ----------------------------------------------------------------------
 # Control-plane scenario: a CDN degrades mid-run (C3-style steering)
-# ----------------------------------------------------------------------
 @dataclass
-class CdnFaultScenario:
+class CdnFaultScenario(_Bundle):
     """World for E13: two CDNs, one suffers a mid-run capacity fault.
 
-    The fault itself is declared in the spec (``faults:`` section) and
-    armed through the PR 5 :class:`~repro.faults.injector.FaultInjector`
-    at build time -- the old imperative ``schedule_fault`` path is gone.
-    Build with ``install_faults=False`` for the never-faulted twin.
+    The fault is declared in the spec (``faults:`` section) and armed by
+    a :class:`~repro.faults.injector.FaultInjector` at build time; build
+    with ``install_faults=False`` for the never-faulted twin.
     """
 
-    sim: Simulator
-    topology: Topology
-    network: FluidNetwork
-    cdns: List[Cdn]
-    catalog: ContentCatalog
-    client_nodes: List[str]
-    cdn1_uplink: str
-    registry: OptInRegistry
-    fault_at_s: float
-    recover_at_s: float
-    ctx: SimContext
-    world: Optional[ScenarioWorld] = None
+    cdns: List[Cdn] = _attr("cdn_list")
+    catalog: ContentCatalog = _attr("catalog")
+    client_nodes: List[str] = _group("clients")
+    cdn1_uplink: str = _link("uplink1")
+    fault_at_s: float = _param("fault_at_s")
+    recover_at_s: float = _param("recover_at_s")
 
 
-# ----------------------------------------------------------------------
 # §3 attributes: one AppP serving clients across two access ISPs
-# ----------------------------------------------------------------------
 @dataclass
-class TwoIspScenario:
+class TwoIspScenario(_Bundle):
     """World for E12: identical CDNs, two ISPs, one congested."""
 
-    sim: Simulator
-    topology: Topology
-    network: FluidNetwork
-    cdns: List[Cdn]
-    catalog: ContentCatalog
-    clients_isp1: List[str]
-    clients_isp2: List[str]
-    access_link_isp1: str
-    access_link_isp2: str
-    registry: OptInRegistry
-    ctx: SimContext
-    world: Optional[ScenarioWorld] = None
+    cdns: List[Cdn] = _attr("cdn_list")
+    catalog: ContentCatalog = _attr("catalog")
+    clients_isp1: List[str] = _group("isp1-clients")
+    clients_isp2: List[str] = _group("isp2-clients")
+    access_link_isp1: str = _link("isp1-access")
+    access_link_isp2: str = _link("isp2-access")
 
     def isp_of_client(self, client_node: str) -> str:
         return "isp1" if client_node in set(self.clients_isp1) else "isp2"
 
 
-# ----------------------------------------------------------------------
 # Figure 4: web browsing over a cellular access network
-# ----------------------------------------------------------------------
 @dataclass
-class CellularWebScenario:
+class CellularWebScenario(_Bundle):
     """World for E3: per-client radio-modulated access links."""
 
-    sim: Simulator
-    topology: Topology
-    network: FluidNetwork
-    client_nodes: List[str]
-    access_links: List[str]
-    radios: List[RadioModel]
-    browsers: List[Browser]
-    server_node: str
-    rng: random.Random
-    ctx: SimContext
-    world: Optional[ScenarioWorld] = None
+    client_nodes: List[str] = _group("ues")
+    access_links: List[str] = _field(lambda world: world.group_links("ues"))
+    radios: List[RadioModel] = _field(lambda world: list(world.radios))
+    browsers: List[Browser] = _field(lambda world: list(world.browsers))
+    server_node: str = _field(lambda world: world.web_server or "web")
+    rng: random.Random = _field(lambda world: world.sim.rng.get("pages"))
 
 
-# ----------------------------------------------------------------------
-# adapters: ScenarioWorld -> typed bundle
-# ----------------------------------------------------------------------
-
-def _flash_crowd(world: ScenarioWorld) -> FlashCrowdScenario:
-    return FlashCrowdScenario(
-        sim=world.sim,
-        topology=world.topology,
-        network=world.network,
-        cdns=world.cdn_list,
-        catalog=world.catalog,
-        client_nodes=world.group_nodes("clients"),
-        access_link=world.link_id("access"),
-        registry=world.ctx.registry,
-        ctx=world.ctx,
-        world=world,
-    )
-
-
-def _oscillation(world: ScenarioWorld) -> OscillationScenario:
-    return OscillationScenario(
-        sim=world.sim,
-        topology=world.topology,
-        network=world.network,
-        cdn_x=world.cdns["cdnX"],
-        cdn_y=world.cdns["cdnY"],
-        catalog=world.catalog,
-        client_nodes=world.group_nodes("clients"),
-        groups=list(world.egress),
-        registry=world.ctx.registry,
-        peering_b_link=world.link_id("peering_b"),
-        peering_c_link=world.link_id("peering_c"),
-        ctx=world.ctx,
-        world=world,
-    )
-
-
-def _coarse_control(world: ScenarioWorld) -> CoarseControlScenario:
-    return CoarseControlScenario(
-        sim=world.sim,
-        topology=world.topology,
-        network=world.network,
-        cdn_x=world.cdns["cdnX"],
-        cdn_y=world.cdns["cdnY"],
-        catalog=world.catalog,
-        client_nodes=world.group_nodes("clients"),
-        registry=world.ctx.registry,
-        ctx=world.ctx,
-        world=world,
-    )
-
-
-def _energy(world: ScenarioWorld) -> EnergyScenario:
-    cdn = world.cdns["cdn"]
-    uplinks = {
-        f"cdn.{node}": link
-        for node, link in zip(world.group_nodes("edges"), world.group_links("edges"))
-    }
-    return EnergyScenario(
-        sim=world.sim,
-        topology=world.topology,
-        network=world.network,
-        cdn=cdn,
-        catalog=world.catalog,
-        client_nodes=world.group_nodes("clients"),
-        registry=world.ctx.registry,
-        server_uplinks=uplinks,
-        ctx=world.ctx,
-        world=world,
-    )
-
-
-def _cdn_fault(world: ScenarioWorld) -> CdnFaultScenario:
-    return CdnFaultScenario(
-        sim=world.sim,
-        topology=world.topology,
-        network=world.network,
-        cdns=world.cdn_list,
-        catalog=world.catalog,
-        client_nodes=world.group_nodes("clients"),
-        cdn1_uplink=world.link_id("uplink1"),
-        registry=world.ctx.registry,
-        fault_at_s=world.params["fault_at_s"],
-        recover_at_s=world.params["recover_at_s"],
-        ctx=world.ctx,
-        world=world,
-    )
-
-
-def _two_isp(world: ScenarioWorld) -> TwoIspScenario:
-    return TwoIspScenario(
-        sim=world.sim,
-        topology=world.topology,
-        network=world.network,
-        cdns=world.cdn_list,
-        catalog=world.catalog,
-        clients_isp1=world.group_nodes("isp1-clients"),
-        clients_isp2=world.group_nodes("isp2-clients"),
-        access_link_isp1=world.link_id("isp1-access"),
-        access_link_isp2=world.link_id("isp2-access"),
-        registry=world.ctx.registry,
-        ctx=world.ctx,
-        world=world,
-    )
-
-
-def _cellular_web(world: ScenarioWorld) -> CellularWebScenario:
-    return CellularWebScenario(
-        sim=world.sim,
-        topology=world.topology,
-        network=world.network,
-        client_nodes=world.group_nodes("ues"),
-        access_links=world.group_links("ues"),
-        radios=list(world.radios),
-        browsers=list(world.browsers),
-        server_node=world.web_server or "web",
-        rng=world.sim.rng.get("pages"),
-        ctx=world.ctx,
-        world=world,
-    )
-
-
-_ADAPTERS: Dict[str, Callable[[ScenarioWorld], Any]] = {
-    "flash-crowd": _flash_crowd,
-    "oscillation": _oscillation,
-    "coarse-control": _coarse_control,
-    "energy": _energy,
-    "cdn-fault": _cdn_fault,
-    "two-isp": _two_isp,
-    "cellular-web": _cellular_web,
+_BUNDLES: Dict[str, type] = {
+    "flash-crowd": FlashCrowdScenario,
+    "oscillation": OscillationScenario,
+    "coarse-control": CoarseControlScenario,
+    "energy": EnergyScenario,
+    "cdn-fault": CdnFaultScenario,
+    "two-isp": TwoIspScenario,
+    "cellular-web": CellularWebScenario,
 }
 
 
@@ -345,20 +220,18 @@ def build_scenario(
     seed: int = 0,
     params: Optional[Mapping[str, Any]] = None,
     install_faults: bool = True,
-    with_phases: bool = True,
 ) -> Any:
-    """Build a library scenario: load, compile, adapt.
+    """Build a library scenario: load, compile, fill its bundle.
 
-    Returns the scenario's typed bundle when one exists (the seven
-    migrated worlds), otherwise the generic :class:`ScenarioWorld`.
+    Returns the scenario's typed bundle, every field filled from its
+    declared ``source``, or the generic :class:`ScenarioWorld` when the
+    name has no bundle.
     """
     spec = load_library_spec(name)
-    world = compile_scenario(
-        spec,
-        seed=seed,
-        params=params,
-        install_faults=install_faults,
-        with_phases=with_phases,
+    world = compile_scenario(spec, seed=seed, params=params, install_faults=install_faults)
+    bundle = _BUNDLES.get(name)
+    if bundle is None:
+        return world
+    return bundle(
+        **{slot.name: slot.metadata["source"](world) for slot in dataclasses.fields(bundle)}
     )
-    adapter = _ADAPTERS.get(name)
-    return adapter(world) if adapter is not None else world

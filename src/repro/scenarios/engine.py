@@ -5,7 +5,7 @@
 :func:`~repro.core.context.build_context`, then layers on content, CDNs
 (registered into the context in declaration order -- the AppP's default
 preference order), egress groups, web clients/radios, phase-timeline
-trace events, fault plans (installed through PR 5's
+trace events, fault plans (installed through a
 :class:`~repro.faults.injector.FaultInjector`), and session populations.
 
 Construction order is the determinism contract: the engine performs the
@@ -150,7 +150,8 @@ class ScenarioWorld:
     """Everything a compiled scenario produced, keyed for lookup.
 
     The generic face of the subsystem: experiments either consume this
-    directly (the fleet workloads do) or through a typed bundle adapter
+    directly (the fleet workloads do) or through a typed bundle whose
+    fields each declare their source in this world
     (:mod:`repro.scenarios.bundles`, the migrated legacy scenarios).
     ``spec`` is the resolved spec (every ``$param`` substituted) and
     ``plan`` its expanded topology, which answers group and link
@@ -239,7 +240,6 @@ def compile_scenario(
     seed: int = 0,
     params: Optional[Mapping[str, Any]] = None,
     install_faults: bool = True,
-    with_phases: bool = True,
 ) -> ScenarioWorld:
     """Compile a spec into a running world.
 
@@ -250,9 +250,10 @@ def compile_scenario(
         install_faults: Arm the spec's fault plans through a
             :class:`FaultInjector` (disable to build the never-faulted
             twin of the same world).
-        with_phases: Schedule the spec's phase timeline as
-            ``phase-transition`` trace events (no-op unless tracing is
-            enabled -- same contract as :func:`trace_phases`).
+
+    The spec's phase timeline is always scheduled as
+    ``phase-transition`` trace events through :func:`trace_phases`,
+    which schedules nothing unless tracing is enabled.
     """
     spec, plan = spec.resolve(params)
 
@@ -336,7 +337,7 @@ def compile_scenario(
                     )
                 )
 
-    if with_phases and spec.phases:
+    if spec.phases:
         trace_phases(ctx.sim, spec.name, {phase.name: phase.at_s for phase in spec.phases})
 
     world.fault_plans = spec.fault_plans(plan)

@@ -48,9 +48,6 @@ class SdnController:
         #: carry it as ``parent``.  Purely observational.
         self.pending_parent: Optional[int] = None
 
-    def has_switch(self, node_id: str) -> bool:
-        return node_id in self.switches
-
     # ------------------------------------------------------------------
     # programming
     # ------------------------------------------------------------------

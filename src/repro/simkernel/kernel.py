@@ -136,10 +136,6 @@ class Simulator:
             self._running = False
         return self._now
 
-    def run_until(self, time: float) -> float:
-        """Alias for ``run(until=time)``."""
-        return self.run(until=time)
-
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at the current time (after pending same-time events)."""
         return self.schedule(0.0, fn, *args)

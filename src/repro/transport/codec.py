@@ -23,7 +23,7 @@ query-plane messages defined here (:class:`QueryRequest`,
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.core.interfaces import QueryResult
@@ -210,11 +210,6 @@ def decode(frame: str) -> object:
         raise CodecError(str(error)) from None
 
 
-def roundtrip(message: object) -> object:
-    """``decode(encode(message))`` -- the property the tests pin."""
-    return decode(encode(message))
-
-
 # The wire vocabulary: every core schema payload, the query-plane
 # messages, and QueryResult itself (used by feeds that capture results
 # rather than flattened replies).
@@ -233,11 +228,3 @@ for _cls in (
 register_schema(
     QueryResult, decoder=lambda body: dataclass_from_dict(QueryResult, body)
 )
-
-
-def schema_fields(name: str) -> Tuple[str, ...]:
-    """Field names of a registered wire type (docs/introspection)."""
-    entry = _REGISTRY.get(name)
-    if entry is None:
-        raise CodecError(f"unknown wire type {name!r}")
-    return tuple(spec.name for spec in fields(entry[0]))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -28,6 +29,7 @@ from repro.transport import (
     encode,
     wire_types,
 )
+from tests.transport.conftest import MiniWorld
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 name = st.text(max_size=20)
@@ -188,3 +190,73 @@ class TestRpcMessages:
     def test_error_reply_round_trips(self):
         reply = ErrorReply(msg_id=3, error="AccessDeniedError", message="no")
         assert decode(encode(reply)) == reply
+
+
+# Hostile-input fuzzing: ``decode`` either returns a registered wire
+# object or raises CodecError, and ``GlassService.handle_frame`` (which
+# is documented "Never raises") always answers with a frame.  Body keys
+# are drawn mostly from real field names and leaves include the names a
+# serving world routes on, so drawn frames reach field coercion and the
+# service's dispatch, not only the envelope checks.
+_WIRE_CLASSES = (
+    QoeAggregate, DemandEstimate, PeeringPointInfo, PeeringDecision,
+    CongestionSignal, ServerHintInfo, QueryRequest, QueryReply, ErrorReply,
+    QueryResult,
+)
+_FIELD_NAMES = sorted(
+    {spec.name for cls in _WIRE_CLASSES for spec in dataclasses.fields(cls)}
+)
+_ROUTED = ["isp", "appp", "congestion", "__control__", "__ping__",
+           "__queries__", "__trace__"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=12) | st.sampled_from(_ROUTED),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(
+        st.sampled_from(_FIELD_NAMES) | st.text(max_size=8), children, max_size=6
+    ),
+    max_leaves=24,
+)
+
+
+def _envelope(name, body):
+    return json.dumps(
+        {"v": WIRE_VERSION, "schemas": SCHEMA_VERSION, "type": name, "body": body}
+    )
+
+
+envelopes = st.builds(_envelope, st.sampled_from(wire_types()), json_values)
+# Query requests that decode, so the glass and control dispatch see
+# hostile owners, queries and params.
+_routed = st.sampled_from(_ROUTED)
+requests = st.builds(_envelope, st.just("QueryRequest"), st.fixed_dictionaries(
+    {"owner": _routed, "requester": _routed, "query": _routed,
+     "msg_id": st.integers()},
+    optional={"params": st.dictionaries(_routed | name, json_values) | json_values},
+))
+
+
+def _decode_or_codec_error(frame):
+    try:
+        message = decode(frame)
+    except CodecError:
+        return
+    assert type(message).__name__ in wire_types()
+
+
+class TestHostileInput:
+    @given(frame=st.text())
+    def test_decode_of_any_text_is_a_message_or_a_codec_error(self, frame):
+        _decode_or_codec_error(frame)
+
+    @given(frame=envelopes | requests)
+    def test_decode_of_any_well_formed_envelope_is_a_message_or_a_codec_error(
+        self, frame
+    ):
+        _decode_or_codec_error(frame)
+
+    @given(frame=st.text() | envelopes | requests)
+    def test_handle_frame_answers_every_frame(self, frame):
+        service = MiniWorld().service
+        reply = service.handle_frame(frame)
+        assert isinstance(reply, str)
+        assert type(decode(reply)) in (QueryReply, ErrorReply)
