@@ -15,7 +15,6 @@ import pytest
 
 _RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 _tables: List[str] = []
-_counters: List[str] = []
 _checks: List[str] = []
 
 
@@ -27,17 +26,6 @@ def record_table(result) -> None:
     safe_name = result.name.lower().replace(" ", "-")
     with open(os.path.join(_RESULTS_DIR, f"{safe_name}.txt"), "w") as handle:
         handle.write(text + "\n")
-
-
-def record_counters(label: str, counters: dict) -> None:
-    """Register allocation-engine counters for the terminal summary.
-
-    Pass the dict from ``FluidNetwork.allocation_counters()`` (or
-    ``SimContext.allocation_counters()``) after a run, labeled with the
-    benchmark/configuration it came from.
-    """
-    parts = "  ".join(f"{key}={value}" for key, value in counters.items())
-    _counters.append(f"{label}: {parts}")
 
 
 def record_checks(label: str, outcomes) -> None:
@@ -60,11 +48,6 @@ def check_sink():
     return record_checks
 
 
-@pytest.fixture
-def counter_sink():
-    return record_counters
-
-
 def pytest_terminal_summary(terminalreporter):
     if _tables:
         terminalreporter.section("reproduced tables/figures")
@@ -72,10 +55,6 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line("")
             for line in text.splitlines():
                 terminalreporter.write_line(line)
-    if _counters:
-        terminalreporter.section("allocation engine counters")
-        for line in _counters:
-            terminalreporter.write_line(line)
     if _checks:
         terminalreporter.section("spec shape checks")
         for line in _checks:

@@ -16,14 +16,14 @@ import random
 
 from repro.core.recipe import (
     derive_wide_interface,
-    eona_standard_ownership,
+    eona_use_cases,
     narrow_interface,
     utility_from_observations,
 )
 
 
 def main() -> None:
-    ownership, use_cases = eona_standard_ownership()
+    use_cases = eona_use_cases()
 
     print("step 1 — use cases (paper §2):")
     for use_case in use_cases:

@@ -39,7 +39,6 @@ from repro.core.recipe import (
     Datum,
     InterfaceSpec,
     Knob,
-    OwnershipMap,
     UseCase,
     derive_wide_interface,
     narrow_interface,
@@ -67,7 +66,6 @@ __all__ = [
     "MultiIspEonaAppP",
     "OptInRegistry",
     "OscillationDetector",
-    "OwnershipMap",
     "PeeringDecision",
     "PeeringPointInfo",
     "QoeAggregate",

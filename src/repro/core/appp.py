@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.cdn.provider import Cdn
 from repro.core.context import SimContext
 from repro.core.damping import HysteresisGate
+from repro.core.fallback import GlassFallback
 from repro.core.interfaces import LookingGlass, QueryResult
-from repro.core.registry import AccessDeniedError, OptInRegistry
+from repro.core.registry import OptInRegistry
 from repro.core.schemas import DemandEstimate, QoeAggregate
 from repro.obs.trace import TRACER
 from repro.simkernel.kernel import Simulator
@@ -378,27 +379,24 @@ class StatusQuoAppP(AppPController):
         return self._switch_cdn(player, target, reason="blackbox-react")
 
 
-class EonaAppP(AppPController):
+class EonaAppP(AppPController, GlassFallback):
     """EONA-enhanced AppP: consult I2A, then pick the *right* knob.
+
+    Every I2A query counts in ``i2a_queries`` and each failed one is one
+    failure of the :class:`~repro.core.fallback.GlassFallback` streak.
 
     Args:
         isp_i2a: The ISP's I2A looking glass (congestion + peering).
         cdn_i2a: Per-CDN I2A looking glasses (server hints).
         damper: Hysteresis gate on CDN switches; ``None`` disables
             damping (the E4/E10 ablation).
-        cap_relief_factor: When the access congestion clears, caps are
-            lifted.
-        fallback_enabled: Degrade to status-quo behavior when the
-            glasses fail repeatedly (the resilience contract); the
-            E15 ablation sets this False to show what rigidity costs.
-        glass_error_threshold: Consecutive glass failures before
-            fallback engages.
-        reengage_ticks: Consecutive successful probes before a
-            recovered glass is trusted again (damped re-engagement).
-        stale_tolerance_s: Answers older than this count as glass
-            failures (a frozen glass keeps answering, but lies);
-            ``inf`` (the default) trusts any age, preserving the
-            staleness-sweep semantics of E6.
+        global_cap_period_s: Period of the fleet-wide bitrate governor.
+        clear_ticks_to_raise: Consecutive clear governor ticks before a
+            cap is raised one rung.
+        fallback_enabled, glass_error_threshold, reengage_ticks,
+            stale_tolerance_s: See :class:`GlassFallback`; ``inf`` (the
+            default tolerance) preserves the staleness-sweep semantics
+            of E6.
     """
 
     def __init__(
@@ -418,25 +416,18 @@ class EonaAppP(AppPController):
         **kwargs,
     ):
         super().__init__(sim, cdns, **kwargs)
+        GlassFallback.__init__(
+            self,
+            fallback_enabled,
+            glass_error_threshold,
+            reengage_ticks,
+            stale_tolerance_s,
+        )
         self.isp_i2a = isp_i2a
         self.cdn_i2a = cdn_i2a or {}
         self.damper = damper
         self.i2a_queries = 0
         self.bitrate_downshifts = 0
-        # Graceful degradation: a glass that dies must not take the
-        # control loop with it.  Consecutive failures trip a fallback to
-        # blackbox (status-quo) behavior; consecutive successful probes
-        # re-engage EONA, damped so a flapping glass cannot oscillate us.
-        self.fallback_enabled = fallback_enabled
-        self.glass_error_threshold = glass_error_threshold
-        self.reengage_ticks = reengage_ticks
-        self.stale_tolerance_s = stale_tolerance_s
-        self.glass_errors = 0
-        self.fallback_activations = 0
-        self.fallback_reengagements = 0
-        self.fallback_active = False
-        self._glass_fail_streak = 0
-        self._glass_ok_streak = 0
         # Cause ID of the most recent successfully served I2A answer;
         # traced control actions point back at it as their parent.
         self._last_hint_cause: Optional[int] = None
@@ -463,34 +454,67 @@ class EonaAppP(AppPController):
             self._governor.stop()
 
     def _govern(self) -> None:
-        """One tick of the fleet-wide bitrate governor."""
+        """One governor tick: probe in fallback, else step the caps."""
         if self.fallback_active:
             # In fallback the governor holds no caps (status-quo players
             # are uncapped) and probes the glass once per tick; only
             # ``reengage_ticks`` consecutive good probes re-engage EONA.
-            self.global_cap_mbps = math.inf
-            self._clear_ticks = 0
+            self._on_fallback_activate()
             self._probe_glass()
             return
-        if self._access_congested():
-            self._clear_ticks = 0
-            if math.isinf(self.global_cap_mbps):
-                baseline = self._fleet_mean_bitrate()
-                self.global_cap_mbps = self.ladder.step_down(
-                    self.ladder.highest_at_most(baseline)
-                )
-            else:
-                self.global_cap_mbps = self.ladder.step_down(self.global_cap_mbps)
+        self._govern_caps()
+
+    def _govern_caps(self) -> None:
+        """Step the one fleet-wide cap on the ISP's congestion report."""
+        # Ask before reading the cap: a failed query can trip fallback,
+        # which lifts it.
+        congested = self._access_congested()
+        self.global_cap_mbps, self._clear_ticks = self._step_cap(
+            self.global_cap_mbps,
+            self._clear_ticks,
+            congested,
+            self._active_players.values(),
+        )
+
+    def _step_cap(
+        self,
+        cap: float,
+        clear_ticks: int,
+        congested: bool,
+        players: Iterable[AdaptivePlayer],
+        **trace_fields: object,
+    ) -> Tuple[float, int]:
+        """One governor step of one cap; returns ``(cap, clear_ticks)``.
+
+        While congested the cap goes one rung down, starting below the
+        mean bitrate ``players`` play; after ``clear_ticks_to_raise``
+        clear ticks it goes one rung up, and above the top rung it is
+        lifted (``inf``).
+        """
+        if congested:
+            if math.isinf(cap):
+                cap = self.ladder.highest_at_most(self._mean_bitrate(players))
+            cap = self.ladder.step_down(cap)
             self.bitrate_downshifts += 1
-            self._trace_bitrate_cap("governor", self.global_cap_mbps)
-        elif math.isfinite(self.global_cap_mbps):
-            self._clear_ticks += 1
-            if self._clear_ticks >= self.clear_ticks_to_raise:
-                self._clear_ticks = 0
-                if self.global_cap_mbps >= self.ladder.highest:
-                    self.global_cap_mbps = math.inf
-                else:
-                    self.global_cap_mbps = self.ladder.step_up(self.global_cap_mbps)
+            self._trace_bitrate_cap("governor", cap, **trace_fields)
+            return cap, 0
+        if math.isinf(cap):
+            return cap, clear_ticks
+        clear_ticks += 1
+        if clear_ticks < self.clear_ticks_to_raise:
+            return cap, clear_ticks
+        if cap >= self.ladder.highest:
+            return math.inf, 0
+        return self.ladder.step_up(cap), 0
+
+    def _mean_bitrate(self, players: Iterable[AdaptivePlayer]) -> float:
+        """Mean current bitrate of ``players`` (the top rung if none play)."""
+        rates = [
+            player.bitrates_played[-1] for player in players if player.bitrates_played
+        ]
+        if not rates:
+            return self.ladder.highest
+        return sum(rates) / len(rates)
 
     def _trace_bitrate_cap(
         self, via: str, cap_mbps: float, **fields: object
@@ -515,16 +539,6 @@ class EonaAppP(AppPController):
         )
         return cause
 
-    def _fleet_mean_bitrate(self) -> float:
-        rates = [
-            player.bitrates_played[-1]
-            for player in self._active_players.values()
-            if player.bitrates_played
-        ]
-        if not rates:
-            return self.ladder.highest
-        return sum(rates) / len(rates)
-
     def rate_cap_mbps(self, player: AdaptivePlayer) -> float:
         return min(super().rate_cap_mbps(player), self.global_cap_mbps)
 
@@ -532,62 +546,20 @@ class EonaAppP(AppPController):
     def _glass_query(
         self, glass: LookingGlass, query: str
     ) -> Optional[QueryResult]:
-        """Query a glass, tracking failures and over-stale answers.
-
-        Returns ``None`` when the glass is down, the handler raised, or
-        the answer exceeds ``stale_tolerance_s`` -- each counts toward
-        the fallback failure streak.  Access denials are configuration,
-        not faults: they return ``None`` without touching the streaks
-        (the pre-fallback behavior).
-        """
+        """One counted I2A query; each fault or stale answer is a failure."""
         self.i2a_queries += 1
-        try:
-            result = glass.query(self.name, query)
-        except AccessDeniedError:
-            return None
-        except Exception:
-            self.glass_errors += 1
+        errors_before = self.glass_errors
+        result = self._guarded_query(glass, query)
+        if result is not None:
+            self._note_glass_ok()
+            if result.cause is not None:
+                self._last_hint_cause = result.cause
+        elif self.glass_errors > errors_before:
             self._note_glass_failure()
-            return None
-        if result.age_s > self.stale_tolerance_s:
-            self.glass_errors += 1
-            self._note_glass_failure()
-            return None
-        self._note_glass_ok()
-        if result.cause is not None:
-            self._last_hint_cause = result.cause
         return result
 
-    def _note_glass_failure(self) -> None:
-        self._glass_ok_streak = 0
-        self._glass_fail_streak += 1
-        if (
-            self.fallback_enabled
-            and not self.fallback_active
-            and self._glass_fail_streak >= self.glass_error_threshold
-        ):
-            self.fallback_active = True
-            self.fallback_activations += 1
-            self._on_fallback_activate()
-            if TRACER.enabled:
-                TRACER.emit(
-                    "fallback-engage", policy=self.name, errors=self.glass_errors
-                )
-
-    def _note_glass_ok(self) -> None:
-        self._glass_fail_streak = 0
-        if not self.fallback_active:
-            return
-        self._glass_ok_streak += 1
-        if self._glass_ok_streak >= self.reengage_ticks:
-            self.fallback_active = False
-            self._glass_ok_streak = 0
-            self.fallback_reengagements += 1
-            if TRACER.enabled:
-                TRACER.emit("fallback-reengage", policy=self.name)
-
     def _on_fallback_activate(self) -> None:
-        """Drop EONA-imposed state so fallback really is status quo."""
+        """Lift every cap, so fallback really is status quo."""
         self.global_cap_mbps = math.inf
         self._clear_ticks = 0
         for state in self._sessions.values():
@@ -610,30 +582,28 @@ class EonaAppP(AppPController):
             self._glass_query(glass, query)
 
     # -- I2A helpers ---------------------------------------------------
-    def _congestion_signals(self) -> List[dict]:
-        if self.isp_i2a is None or self.fallback_active:
-            return []
-        result = self._glass_query(self.isp_i2a, "congestion")
-        if result is None:
-            return []
-        payload = result.payload
-        return payload if isinstance(payload, list) else []
-
-    def _access_congested(self) -> bool:
-        return any(
-            signal.get("scope") == "access" and signal.get("congested")
-            for signal in self._congestion_signals()
-        )
-
-    def _server_hints(self, cdn_name: str) -> List[dict]:
-        glass = self.cdn_i2a.get(cdn_name)
+    def _i2a_list(self, glass: Optional[LookingGlass], query: str) -> List[dict]:
+        """A list-valued I2A answer; ``[]`` if no glass, in fallback or failed."""
         if glass is None or self.fallback_active:
             return []
-        result = self._glass_query(glass, "server_hints")
+        result = self._glass_query(glass, query)
         if result is None:
             return []
         payload = result.payload
         return payload if isinstance(payload, list) else []
+
+    def _reports_access_congestion(self, glass: Optional[LookingGlass]) -> bool:
+        """Whether ``glass`` reports its access segment congested."""
+        return any(
+            signal.get("scope") == "access" and signal.get("congested")
+            for signal in self._i2a_list(glass, "congestion")
+        )
+
+    def _access_congested(self) -> bool:
+        return self._reports_access_congestion(self.isp_i2a)
+
+    def _server_hints(self, cdn_name: str) -> List[dict]:
+        return self._i2a_list(self.cdn_i2a.get(cdn_name), "server_hints")
 
     def _peering_being_fixed(self, cdn_name: str) -> bool:
         """True when the ISP's published peering state shows headroom.
@@ -643,12 +613,7 @@ class EonaAppP(AppPController):
         EONA InfP will repair -- so a wholesale CDN switch would only
         add churn (the Figure 5 lesson).
         """
-        if self.isp_i2a is None or self.fallback_active:
-            return False
-        result = self._glass_query(self.isp_i2a, "peering_points")
-        if result is None:
-            return False
-        points = result.payload if isinstance(result.payload, list) else []
+        points = self._i2a_list(self.isp_i2a, "peering_points")
         relevant = [p for p in points if p.get("cdn") == cdn_name]
         if not relevant:
             return False
@@ -798,29 +763,19 @@ class MultiIspEonaAppP(EonaAppP):
 
         period = kwargs.get("global_cap_period_s", 5.0)
         self._governor = PeriodicProcess(
-            self.sim, period, self._govern_scopes, name="appp-scope-governor"
+            self.sim, period, self._govern, name="appp-scope-governor"
         )
 
     # ------------------------------------------------------------------
-    def _isp_congested(self, isp: str) -> bool:
-        glass = self.isp_i2a_map.get(isp)
-        if glass is None or self.fallback_active:
-            return False
-        result = self._glass_query(glass, "congestion")
-        if result is None:
-            return False
-        payload = result.payload if isinstance(result.payload, list) else []
-        return any(
-            signal.get("scope") == "access" and signal.get("congested")
-            for signal in payload
-        )
-
     def _access_congested(self) -> bool:
         # For the per-session reaction path: "my access is congested"
         # means *some* collaborating ISP reports it; the per-session
         # rate-cap logic in EonaAppP then applies only to the sessions
         # that are actually bad, so scoping is preserved there.
-        return any(self._isp_congested(isp) for isp in self.isp_i2a_map)
+        return any(
+            self._reports_access_congestion(glass)
+            for glass in self.isp_i2a_map.values()
+        )
 
     def _probe_candidates(self) -> List[tuple]:
         candidates = super()._probe_candidates()
@@ -834,48 +789,22 @@ class MultiIspEonaAppP(EonaAppP):
             self._scope_caps[isp] = math.inf
             self._scope_clear_ticks[isp] = 0
 
-    def _govern_scopes(self) -> None:
-        if self.fallback_active:
-            for isp in self._scope_caps:
-                self._scope_caps[isp] = math.inf
-                self._scope_clear_ticks[isp] = 0
-            self._probe_glass()
-            return
-        congested = {isp: self._isp_congested(isp) for isp in self.isp_i2a_map}
+    def _govern_caps(self) -> None:
+        """Step each ISP's cap on that ISP's own congestion report."""
+        congested = {
+            isp: self._reports_access_congestion(glass)
+            for isp, glass in self.isp_i2a_map.items()
+        }
         if not self.scoped and any(congested.values()):
             congested = {isp: True for isp in congested}
         for isp, is_congested in congested.items():
-            if is_congested:
-                self._scope_clear_ticks[isp] = 0
-                cap = self._scope_caps[isp]
-                if math.isinf(cap):
-                    baseline = self._scope_mean_bitrate(isp)
-                    self._scope_caps[isp] = self.ladder.step_down(
-                        self.ladder.highest_at_most(baseline)
-                    )
-                else:
-                    self._scope_caps[isp] = self.ladder.step_down(cap)
-                self.bitrate_downshifts += 1
-                self._trace_bitrate_cap("governor", self._scope_caps[isp], isp=isp)
-            elif math.isfinite(self._scope_caps[isp]):
-                self._scope_clear_ticks[isp] += 1
-                if self._scope_clear_ticks[isp] >= self.clear_ticks_to_raise:
-                    self._scope_clear_ticks[isp] = 0
-                    cap = self._scope_caps[isp]
-                    if cap >= self.ladder.highest:
-                        self._scope_caps[isp] = math.inf
-                    else:
-                        self._scope_caps[isp] = self.ladder.step_up(cap)
-
-    def _scope_mean_bitrate(self, isp: str) -> float:
-        rates = [
-            player.bitrates_played[-1]
-            for player in self._active_players.values()
-            if player.bitrates_played and self.isp_of(player) == isp
-        ]
-        if not rates:
-            return self.ladder.highest
-        return sum(rates) / len(rates)
+            self._scope_caps[isp], self._scope_clear_ticks[isp] = self._step_cap(
+                self._scope_caps[isp],
+                self._scope_clear_ticks[isp],
+                is_congested,
+                (p for p in self._active_players.values() if self.isp_of(p) == isp),
+                isp=isp,
+            )
 
     def rate_cap_mbps(self, player: AdaptivePlayer) -> float:
         session_cap = AppPController.rate_cap_mbps(self, player)

@@ -21,8 +21,9 @@ from typing import Callable, Dict, List, Optional
 
 from repro.cdn.provider import Cdn
 from repro.core.context import SimContext, resolve_sim_network
+from repro.core.fallback import GlassFallback
 from repro.core.interfaces import LookingGlass, QueryResult
-from repro.core.registry import AccessDeniedError, OptInRegistry
+from repro.core.registry import OptInRegistry
 from repro.obs.trace import TRACER
 from repro.core.schemas import CongestionSignal, PeeringDecision, PeeringPointInfo
 from repro.network.fluidsim import FluidNetwork
@@ -97,8 +98,13 @@ class StatusQuoInfP:
         self.stats.reset()
 
 
-class EonaInfP(StatusQuoInfP):
+class EonaInfP(StatusQuoInfP, GlassFallback):
     """EONA-enhanced ISP: demand-aware TE plus the I2A export.
+
+    A TE round in which no A2I glass returned a demand estimate and at
+    least one query raised or was stale is one failure of the
+    :class:`~repro.core.fallback.GlassFallback` streak; in fallback the
+    TE policy runs on measured loads (the status-quo information base).
 
     Args:
         appp_a2i: The AppP's A2I looking glass (queried for demand and
@@ -114,14 +120,8 @@ class EonaInfP(StatusQuoInfP):
         use_splits: Allow the TE plan to split a group across several
             peering points when no single one fits its demand (§4's
             "traffic splits across the peering points" knob).
-        fallback_enabled: Degrade to measured-load TE when the A2I
-            glasses fail repeatedly; re-engage damped on recovery.
-        glass_error_threshold: Consecutive all-glasses-failed TE rounds
-            before fallback engages.
-        reengage_ticks: Consecutive successful probes before recovered
-            glasses are trusted again.
-        stale_tolerance_s: Demand estimates older than this count as
-            failures (``inf`` trusts any age).
+        fallback_enabled, glass_error_threshold, reengage_ticks,
+            stale_tolerance_s: See :class:`GlassFallback`.
     """
 
     def __init__(
@@ -156,19 +156,13 @@ class EonaInfP(StatusQuoInfP):
         self.access_links = access_links or []
         self._plan_time = -1.0
         self._plan: Dict[str, str] = {}
-        # Graceful degradation mirror of EonaAppP: rounds where every
-        # A2I glass fails trip a fallback to measured-load TE (the
-        # status-quo information base), re-engaged damped on recovery.
-        self.fallback_enabled = fallback_enabled
-        self.glass_error_threshold = glass_error_threshold
-        self.reengage_ticks = reengage_ticks
-        self.stale_tolerance_s = stale_tolerance_s
-        self.glass_errors = 0
-        self.fallback_activations = 0
-        self.fallback_reengagements = 0
-        self.fallback_active = False
-        self._glass_fail_streak = 0
-        self._glass_ok_streak = 0
+        GlassFallback.__init__(
+            self,
+            fallback_enabled,
+            glass_error_threshold,
+            reengage_ticks,
+            stale_tolerance_s,
+        )
         # Cause ID of the last successfully served A2I demand query;
         # the TE rounds it informs stamp it onto the controller so the
         # resulting ``infp-reroute`` events carry it as ``parent``.
@@ -280,10 +274,10 @@ class EonaInfP(StatusQuoInfP):
                         for cdn, demand in payload["demand_mbps"].items():
                             combined[cdn] = combined.get(cdn, 0.0) + demand
                 if got_any:
-                    self._glass_fail_streak = 0
+                    self._note_glass_ok()
                     return combined
                 if self.glass_errors > errors_before:
-                    self._note_round_failed()
+                    self._note_glass_failure()
         # Fallback: measure current egress loads (network-level only).
         measured: Dict[str, float] = {}
         for group in app.groups.values():
@@ -294,56 +288,24 @@ class EonaInfP(StatusQuoInfP):
         return measured
 
     def _query_demand(self, glass: LookingGlass) -> Optional[QueryResult]:
-        """Query one A2I glass, counting faults and over-stale answers.
-
-        Access denials are configuration, not faults; they return
-        ``None`` without touching ``glass_errors``.
-        """
-        try:
-            result = glass.query(self.name, "demand_estimate")
-        except AccessDeniedError:
-            return None
-        except Exception:
-            self.glass_errors += 1
-            return None
-        if result.age_s > self.stale_tolerance_s:
-            self.glass_errors += 1
-            return None
-        if result.cause is not None:
+        """One guarded A2I demand query, keeping its cause ID."""
+        result = self._guarded_query(glass, "demand_estimate")
+        if result is not None and result.cause is not None:
             self._last_demand_cause = result.cause
         return result
 
-    def _note_round_failed(self) -> None:
-        self._glass_ok_streak = 0
-        self._glass_fail_streak += 1
-        if (
-            self.fallback_enabled
-            and not self.fallback_active
-            and self._glass_fail_streak >= self.glass_error_threshold
-        ):
-            self.fallback_active = True
-            self.fallback_activations += 1
-            self._plan = {}
-            self._plan_time = -1.0
-            if TRACER.enabled:
-                TRACER.emit(
-                    "fallback-engage", policy=self.name, errors=self.glass_errors
-                )
+    def _on_fallback_activate(self) -> None:
+        """Drop the demand-built plan; TE replans on measured loads."""
+        self._plan = {}
+        self._plan_time = -1.0
 
     def _probe_a2i(self) -> None:
         """One damped re-engagement probe while in fallback."""
-        result = self._query_demand(self.appp_a2i_list[0])
-        if result is None:
+        if self._query_demand(self.appp_a2i_list[0]) is None:
+            # Any empty probe, a denial included, breaks the good streak.
             self._glass_ok_streak = 0
-            return
-        self._glass_ok_streak += 1
-        if self._glass_ok_streak >= self.reengage_ticks:
-            self.fallback_active = False
-            self._glass_ok_streak = 0
-            self._glass_fail_streak = 0
-            self.fallback_reengagements += 1
-            if TRACER.enabled:
-                TRACER.emit("fallback-reengage", policy=self.name)
+        else:
+            self._note_glass_ok()
 
     def reset_soft_state(self) -> None:
         super().reset_soft_state()

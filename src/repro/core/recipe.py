@@ -96,24 +96,6 @@ class InterfaceSpec:
         )
 
 
-class OwnershipMap:
-    """Registry of who owns which knob and datum (recipe step 3)."""
-
-    def __init__(self) -> None:
-        self._knobs: Dict[str, Knob] = {}
-        self._data: Dict[str, Datum] = {}
-
-    def add_knob(self, name: str, owner: str) -> Knob:
-        knob = Knob(name=name, owner=owner)
-        self._knobs[name] = knob
-        return knob
-
-    def add_datum(self, name: str, owner: str) -> Datum:
-        datum = Datum(name=name, owner=owner)
-        self._data[name] = datum
-        return datum
-
-
 def derive_wide_interface(use_cases: Iterable[UseCase]) -> InterfaceSpec:
     """Recipe step 3: every cross-ownership (knob, datum) pair is a crossing.
 
@@ -205,25 +187,24 @@ def utility_from_observations(
     return scores
 
 
-def eona_standard_ownership() -> Tuple[OwnershipMap, List[UseCase]]:
+def eona_use_cases() -> List[UseCase]:
     """The paper's running example: knobs, data, and use cases of §2/§4."""
-    ownership = OwnershipMap()
     # AppP-owned knobs and data.
-    cdn_choice = ownership.add_knob("cdn_choice", "appp")
-    bitrate = ownership.add_knob("bitrate", "appp")
-    server_choice = ownership.add_knob("server_choice", "appp")
-    qoe = ownership.add_datum("qoe", "appp")
-    demand = ownership.add_datum("demand_estimate", "appp")
+    cdn_choice = Knob("cdn_choice", "appp")
+    bitrate = Knob("bitrate", "appp")
+    server_choice = Knob("server_choice", "appp")
+    qoe = Datum("qoe", "appp")
+    demand = Datum("demand_estimate", "appp")
     # InfP-owned knobs and data.
-    peering = ownership.add_knob("peering_point", "isp")
-    server_power = ownership.add_knob("server_power", "cdn")
-    peering_capacity = ownership.add_datum("peering_capacity", "isp")
-    peering_decision = ownership.add_datum("peering_decision", "isp")
-    access_congestion = ownership.add_datum("access_congestion", "isp")
-    server_load = ownership.add_datum("server_load", "cdn")
-    server_hints = ownership.add_datum("server_hints", "cdn")
+    peering = Knob("peering_point", "isp")
+    server_power = Knob("server_power", "cdn")
+    peering_capacity = Datum("peering_capacity", "isp")
+    peering_decision = Datum("peering_decision", "isp")
+    access_congestion = Datum("access_congestion", "isp")
+    server_load = Datum("server_load", "cdn")
+    server_hints = Datum("server_hints", "cdn")
 
-    use_cases = [
+    return [
         UseCase(
             name="coarse-control",
             knobs=(server_choice, cdn_choice),
@@ -245,4 +226,3 @@ def eona_standard_ownership() -> Tuple[OwnershipMap, List[UseCase]]:
             data=(qoe, server_load),
         ),
     ]
-    return ownership, use_cases

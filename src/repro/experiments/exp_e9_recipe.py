@@ -23,7 +23,7 @@ from repro.baselines.modes import Mode
 from repro.core.recipe import (
     InterfaceSpec,
     derive_wide_interface,
-    eona_standard_ownership,
+    eona_use_cases,
     narrow_interface,
 )
 from repro.experiments import exp_e4_oscillation
@@ -59,7 +59,7 @@ FIELD_TO_QUERIES: Dict[str, Tuple[Tuple[str, str, str], ...]] = {
 
 def narrowed_specs(budgets: Tuple[int, ...]) -> List[Tuple[int, InterfaceSpec]]:
     """Apply recipe steps 2-4 to the standard use cases."""
-    _, use_cases = eona_standard_ownership()
+    use_cases = eona_use_cases()
     wide = derive_wide_interface(use_cases)
     return [
         (budget, narrow_interface(wide, FIELD_UTILITY, budget))

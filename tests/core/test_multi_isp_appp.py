@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.appp import MultiIspEonaAppP
+from repro.core.appp import EonaAppP, MultiIspEonaAppP
 from repro.core.interfaces import LookingGlass
 from repro.core.registry import OptInRegistry
 from repro.core.schemas import CongestionSignal
@@ -14,6 +14,7 @@ from repro.cdn.server import CdnServer
 from repro.network.fluidsim import FluidNetwork
 from repro.network.topology import NodeKind, Topology
 from repro.simkernel.kernel import Simulator
+from repro.simkernel.processes import PeriodicProcess
 from repro.video.abr import RateBasedAbr
 from repro.video.ladder import DEFAULT_LADDER
 from repro.video.player import AdaptivePlayer
@@ -126,3 +127,54 @@ class TestScoping:
             MultiIspEonaAppP(
                 sim, [cdn], isp_i2a_map={}, isp_of=lambda p: "x", name="appp"
             )
+
+
+def _one_isp_run(make_policy, read_cap):
+    """4 players on a 20 Mbps access link; congested 10-60 s and 100-140 s."""
+    sim = Simulator(seed=4)
+    topo = Topology()
+    topo.add_node("srv", NodeKind.SERVER)
+    topo.add_node("c1", NodeKind.CLIENT)
+    topo.add_link("srv", "c1", 20.0)
+    net = FluidNetwork(sim, topo)
+    cdn = Cdn("cdn", [CdnServer("s", "srv", 100)])
+    catalog = ContentCatalog(n_items=2, duration_s=300.0)
+    flag = {"value": False}
+    glass = _flag_glass(sim, OptInRegistry(), "isp1", flag)
+    for at, value in ((10.0, True), (60.0, False), (100.0, True), (140.0, False)):
+        sim.schedule_at(at, flag.__setitem__, "value", value)
+    policy = make_policy(sim, cdn, glass)
+    players = [
+        _player(sim, net, policy, catalog, f"s{i}", "c1") for i in range(4)
+    ]
+    caps = []
+    PeriodicProcess(sim, 1.0, lambda: caps.append(read_cap(policy)))
+    sim.run(until=200.0)
+    policy.stop()
+    return caps, policy, [player.qoe() for player in players]
+
+
+class TestOneGovernor:
+    def test_one_isp_scope_governor_is_the_fleet_governor(self):
+        fleet_caps, fleet, fleet_qoe = _one_isp_run(
+            lambda sim, cdn, glass: EonaAppP(
+                sim, [cdn], isp_i2a=glass, name="appp", global_cap_period_s=5.0
+            ),
+            lambda policy: policy.global_cap_mbps,
+        )
+        scope_caps, scoped, scoped_qoe = _one_isp_run(
+            lambda sim, cdn, glass: MultiIspEonaAppP(
+                sim,
+                [cdn],
+                isp_i2a_map={"isp1": glass},
+                isp_of=lambda player: "isp1",
+                name="appp",
+                global_cap_period_s=5.0,
+            ),
+            lambda policy: policy.scope_cap("isp1"),
+        )
+        assert any(math.isfinite(cap) for cap in fleet_caps)
+        assert scope_caps == fleet_caps
+        assert scoped.bitrate_downshifts == fleet.bitrate_downshifts > 0
+        assert scoped.i2a_queries == fleet.i2a_queries
+        assert scoped_qoe == fleet_qoe

@@ -7,7 +7,7 @@ from repro.core.recipe import (
     Knob,
     UseCase,
     derive_wide_interface,
-    eona_standard_ownership,
+    eona_use_cases,
     narrow_interface,
     utility_from_observations,
 )
@@ -125,14 +125,14 @@ class TestUtilityFromObservations:
 
 class TestStandardOwnership:
     def test_covers_all_paper_scenarios(self):
-        _, use_cases = eona_standard_ownership()
+        use_cases = eona_use_cases()
         names = {use_case.name for use_case in use_cases}
         assert names == {
             "coarse-control", "flash-crowd", "oscillation", "energy-saving",
         }
 
     def test_wide_interface_is_bidirectional(self):
-        _, use_cases = eona_standard_ownership()
+        use_cases = eona_use_cases()
         spec = derive_wide_interface(use_cases)
         recipients = {recipient for _, recipient in spec.shared_fields}
         # QoE flows to both infrastructure parties; hints flow to appp.
@@ -141,7 +141,7 @@ class TestStandardOwnership:
         assert "cdn" in recipients
 
     def test_qoe_is_shared_with_every_infrastructure_owner(self):
-        _, use_cases = eona_standard_ownership()
+        use_cases = eona_use_cases()
         spec = derive_wide_interface(use_cases)
         assert ("qoe", "isp") in spec.shared_fields
         assert ("qoe", "cdn") in spec.shared_fields

@@ -153,6 +153,74 @@ class TestInfPFallback:
         assert infp.fallback_activations == 1
         infp.stop()
 
+    def _infp(self, ctx, glass, **kwargs):
+        group = EgressGroup(
+            name="cdn1", remote="cdn1", candidates=["cdn1"],
+            egress_links={"cdn1": "cdn1->core"},
+        )
+        kwargs.setdefault("glass_error_threshold", 2)
+        return EonaInfP(
+            ctx,
+            groups=[group],
+            appp_a2i=glass,
+            access_links=["core->client"],
+            te_period_s=30.0,
+            **kwargs,
+        )
+
+    def test_outage_trips_fallback_and_recovery_reengages(self):
+        ctx = self._world()
+        glass = self._a2i(ctx, fail=False)
+        infp = self._infp(ctx, glass, reengage_ticks=2)
+        # TE rounds at 30, 60, ...: dark for the rounds at 60 and 90.
+        ctx.sim.schedule_at(45.0, glass.set_available, False)
+        ctx.sim.schedule_at(100.0, glass.set_available, True)
+        ctx.sim.run(until=95.0)
+        assert infp.fallback_active
+        assert infp.fallback_activations == 1
+        ctx.sim.run(until=200.0)  # probes at 120 and 150 re-engage
+        assert not infp.fallback_active
+        assert infp.fallback_reengagements == 1
+        assert infp.fallback_activations == 1
+        infp.stop()
+
+    def test_disabled_fallback_counts_errors_but_never_trips(self):
+        ctx = self._world()
+        glass = self._a2i(ctx, fail=True)
+        infp = self._infp(ctx, glass, fallback_enabled=False)
+        ctx.sim.run(until=200.0)
+        assert infp.glass_errors > 2
+        assert not infp.fallback_active
+        assert infp.fallback_activations == 0
+        infp.stop()
+
+    def test_access_denied_is_not_a_fault(self):
+        ctx = self._world()
+        glass = self._a2i(ctx, fail=True)
+        glass.registry = OptInRegistry()  # the grant to the ISP is gone
+        infp = self._infp(ctx, glass)
+        ctx.sim.run(until=200.0)
+        assert infp.glass_errors == 0
+        assert not infp.fallback_active
+        infp.stop()
+
+    def test_over_stale_answers_count_as_failures(self):
+        ctx = self._world()
+        glass = self._a2i(ctx, fail=False)
+        glass.register(
+            "demand_estimate",
+            lambda: {"demand_mbps": {"cdn1": 10.0}},
+            refresh_period_s=1000.0,
+        )
+        infp = self._infp(ctx, glass, stale_tolerance_s=15.0)
+        ctx.sim.run(until=200.0)
+        # The snapshot taken at the first round (30s) is over 15s old
+        # at every later one.
+        assert infp.glass_errors >= 2
+        assert infp.fallback_active
+        assert infp.fallback_activations == 1
+        infp.stop()
+
     def test_provider_restart_wipes_soft_state(self):
         ctx = self._world()
         infp = EonaInfP(ctx, access_links=["core->client"], stats_period_s=2.0)
