@@ -12,9 +12,7 @@ both headline scenarios shows each direction is *essential somewhere*:
 Only the bidirectional interface covers the scenario suite.
 """
 
-from repro.baselines.modes import Mode
 from repro.experiments import exp_e2_flash_crowd, exp_e4_oscillation
-from repro.experiments.common import ExperimentResult
 
 
 def test_bidirectionality_tables(benchmark, table_sink):

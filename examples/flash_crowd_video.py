@@ -9,7 +9,6 @@ bitrate down instead) -- and prints the side-by-side outcome.
 Run:  python examples/flash_crowd_video.py
 """
 
-from repro.baselines import Mode
 from repro.core import EonaAppP, EonaInfP, StatusQuoAppP, StatusQuoInfP
 from repro.experiments.common import launch_video_sessions, qoe_of
 from repro.video.qoe import summarize

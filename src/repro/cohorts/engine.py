@@ -30,12 +30,11 @@ never materialize unless a scenario asks for them via
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy
 
-from repro.cohorts.specs import VIDEO, WEB, CohortSpec
+from repro.cohorts.specs import VIDEO, CohortSpec
 from repro.cohorts.vecsteps import buffer_advance_vec, engagement_vec, rung_for_throughput
 from repro.network.fluidsim import Transfer
 from repro.telemetry.records import SessionRecord

@@ -1,27 +1,43 @@
-"""The stateful max-min allocation engine.
+"""The stateful max-min allocation engine and its flow table.
 
-:class:`AllocationEngine` keeps the flow–link bookkeeping of a
-:class:`~repro.network.fluidsim.FluidNetwork` alive across allocation
-calls.  The network tells the engine *that* something changed (a flow
-started, finished, moved to a new path; a demand, weight or link
-capacity moved) and the next :meth:`AllocationEngine.solve` re-solves
-every registered flow in one max-min pass.  A solve with no mutation
-since the last one is a no-op.
+:class:`AllocationEngine` owns the flow table of a
+:class:`~repro.network.fluidsim.FluidNetwork`: one row per registered
+flow, in registration order, holding its weight, demand, rate,
+remaining volume, last-progress time, finite-size flag, rank in
+flow-ID order and path (a row of engine link indices).  The network
+tells the engine *that* something changed (a flow started, finished,
+moved to a new path; a demand, weight or link capacity moved) and the
+next :meth:`AllocationEngine.solve` re-solves every registered flow in
+one max-min pass over the table.  A solve with no mutation since the
+last one is a no-op.
 
-The engine is the only writer of ``flow.path`` and ``flow.rate_mbps``.
-Mutations only mark the links whose load may have moved; each solve
-derives those links' loads from their members' rates, so the network
-refreshes statistics of exactly those links.
+The engine runs the four per-change passes of the fluid network as
+array operations on that table: water-filling (:func:`water_fill`),
+flow progress (:meth:`AllocationEngine.progress`), the next completion
+(:meth:`AllocationEngine.next_completion`,
+:meth:`AllocationEngine.finished_flows`) and changed-link loads.
+
+The engine is the only writer of ``flow.path``, ``flow.rate_mbps`` and
+``flow.remaining_mbit`` of registered flows: every value it computes
+reaches the :class:`Flow` as a Python float, so the objects and the
+table never disagree.  Demands, weights and link capacities are written
+on the objects by the owner and read into the table by
+:meth:`AllocationEngine.invalidate`.
 Counters (:class:`EngineCounters`) make the cost observable.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Set
 
+import numpy as np
+import numpy.typing as npt
+
 from repro.network.flows import Flow
-from repro.network.maxmin import max_min_allocation
+from repro.network.maxmin import NO_LINK, water_fill
 from repro.network.topology import Link
 from repro.obs.trace import TRACER
 
@@ -29,6 +45,11 @@ from repro.obs.trace import TRACER
 #: Cap applied to any single flow (end-host NIC stand-in; also keeps
 #: infinite-demand, empty-path rates finite).
 MAX_RATE_MBPS = 1e5
+
+_EPS = 1e-9
+
+# Rows of the engine's float block, one column per flow.
+_WEIGHT, _DEMAND, _RATE, _REMAINING, _LAST = range(5)
 
 
 @dataclass
@@ -65,106 +86,178 @@ class SolveResult:
 
     Attributes:
         mode: ``"full"`` or ``"noop"``.
-        rates: New rate of every registered flow after a full solve
-            (already capped at :data:`MAX_RATE_MBPS`); empty for a noop.
         changed_links: Links whose aggregate load moved since the last
             solve (including links drained by removed/rerouted flows).
+        flows: Every registered flow after a full solve, in
+            registration order; empty for a noop.
+        flow_rates: Their new rates (capped at :data:`MAX_RATE_MBPS`).
     """
 
     mode: str
-    rates: Dict[str, float] = field(default_factory=dict)
     changed_links: Set[str] = field(default_factory=set)
+    flows: List[Flow] = field(default_factory=list)
+    flow_rates: List[float] = field(default_factory=list)
+
+    @property
+    def rates(self) -> Dict[str, float]:
+        """``flow_id -> rate`` of every solved flow, built on demand."""
+        return {flow.flow_id: rate for flow, rate in zip(self.flows, self.flow_rates)}
 
 
 class AllocationEngine:
-    """Max-min allocator with persistent bookkeeping.
+    """Max-min allocator over a persistent flow table.
 
     The owner (normally :class:`~repro.network.fluidsim.FluidNetwork`)
     routes every state change through the mutation methods below, then
-    calls :meth:`solve` to bring rates up to date.  The engine is the
-    single writer of its flows' ``path`` and ``rate_mbps``, so it can
-    report exactly which link loads moved.
+    calls :meth:`solve` to bring rates up to date.
+
+    The table's columns live in preallocated arrays that grow by
+    doubling; rows ``[0, n)`` are the registered flows in registration
+    order, and removing a flow shifts the rows after it up by one.
+    Paths are rows of a ``(capacity, width)`` link-index matrix padded
+    with :data:`NO_LINK`, so the row-major order of the matrix is the
+    flow-then-path order every sum in :func:`water_fill` follows.
     """
 
     def __init__(self) -> None:
         self.counters = EngineCounters()
-        self._flows: Dict[str, Flow] = {}
-        # link_id -> ids of flows currently routed over the link.
-        self._members: Dict[str, Set[str]] = {}
+        # The flow table: Flow objects in registration order, one row
+        # of the arrays below per flow.
+        self._flows: List[Flow] = []
+        # Flow ids in sorted (string) order, for membership and for
+        # ``_rank``, each row's position in it: the order link loads
+        # are summed in.
+        self._sorted_ids: List[str] = []
+        self._values: npt.NDArray[np.float64] = np.zeros((5, 16))
+        self._finite: npt.NDArray[np.bool_] = np.zeros(16, dtype=np.bool_)
+        self._rank: npt.NDArray[np.intp] = np.zeros(16, dtype=np.intp)
+        self._paths: npt.NDArray[np.intp] = np.full((16, 1), NO_LINK, dtype=np.intp)
+        # The engine link index: links seen on any registered path,
+        # after an uncapacitated stand-in at index NO_LINK (the padding).
+        self._link_index: Dict[str, int] = {}
+        self._links: List[Link] = [Link("", "", "", capacity_mbps=math.inf)]
+        self._capacity: npt.NDArray[np.float64] = np.full(16, math.inf)
+        # Links whose load a join or leave moved since the last solve.
+        self._touched: npt.NDArray[np.bool_] = np.zeros(16, dtype=np.bool_)
         # link_id -> sum of member rates; written only by solve().
         self.link_loads: Dict[str, float] = {}
         # Set by every mutation that can move a rate; cleared by solve().
         self._dirty = False
-        self._changed_links: Set[str] = set()
+        # The latest last-progress time of any row: progress() may not
+        # move any flow backwards past it.
+        self._clock = -math.inf
 
     # ------------------------------------------------------------------
     # mutations (the network's change notifications)
     # ------------------------------------------------------------------
     def add_flow(self, flow: Flow) -> None:
-        """Register a newly started flow."""
+        """Register a newly started flow as the table's last row.
+
+        The flow's progress clock starts at ``flow.started_at``.
+        """
         flow_id = flow.flow_id
-        if flow_id in self._flows:
+        rank = bisect_left(self._sorted_ids, flow_id)
+        if self._sorted_ids[rank:rank + 1] == [flow_id]:
             raise ValueError(f"flow {flow_id!r} already registered")
-        self._flows[flow_id] = flow
+        row = len(self._flows)
+        if row == self._values.shape[1]:
+            self._grow_rows()
+        self._flows.append(flow)
+        self._sorted_ids.insert(rank, flow_id)
+        ranks = self._rank[:row]
+        ranks[ranks >= rank] += 1
+        self._rank[row] = rank
         flow.rate_mbps = 0.0
-        self._join_path(flow)
+        self._values[:, row] = (
+            flow.weight,
+            flow.demand_mbps,
+            0.0,
+            flow.remaining_mbit,
+            flow.started_at,
+        )
+        self._finite[row] = flow.is_finite
+        self._clock = max(self._clock, flow.started_at)
+        self._write_path(row, flow.path)
         self._dirty = True
         if len(self._flows) > self.counters.flows_active_peak:
             self.counters.flows_active_peak = len(self._flows)
 
     def remove_flow(self, flow: Flow) -> None:
         """Drop a completed or aborted flow.  Idempotent."""
-        flow_id = flow.flow_id
-        if flow_id not in self._flows:
+        row = self._row(flow)
+        if row < 0:
             return
-        self._leave_path(flow)
-        del self._flows[flow_id]
+        self._leave_path(row)
+        del self._flows[row]
+        rank = int(self._rank[row])
+        del self._sorted_ids[rank]
+        n = len(self._flows)
+        for column in (self._values[:, row:], self._finite[row:], self._rank[row:]):
+            column[..., :n - row] = column[..., 1:n - row + 1]
+        self._paths[row:n] = self._paths[row + 1:n + 1]
+        ranks = self._rank[:n]
+        ranks[ranks > rank] -= 1
 
     def set_path(self, flow: Flow, new_path: List[Link]) -> None:
         """Move a flow onto ``new_path``, updating all bookkeeping.
 
         The engine performs the ``flow.path`` assignment itself so the
-        membership maps can never drift from the flow objects.
+        path rows can never drift from the flow objects.
         """
-        if flow.flow_id not in self._flows:
+        row = self._row(flow)
+        if row < 0:
             flow.path = list(new_path)
             return
-        self._leave_path(flow)
+        self._leave_path(row)
         flow.path = list(new_path)
-        self._join_path(flow)
+        self._write_path(row, flow.path)
+        if flow.rate_mbps != 0.0:  # simlint: ignore[float-eq] -- exact sentinel, never arithmetic
+            self._touched[self._paths[row]] = True
         self._dirty = True
 
     def invalidate(self) -> None:
-        """Note that a flow's demand or weight, or a link's capacity, changed.
+        """Re-read every demand, weight and link capacity from the objects.
 
-        The values live on the :class:`Flow` and :class:`Link` objects;
-        the next :meth:`solve` reads them.
+        The owner writes those attributes on the :class:`Flow` and
+        :class:`Link` objects, then calls this once per batch of changes.
         """
+        n = len(self._flows)
+        self._values[_WEIGHT, :n] = [flow.weight for flow in self._flows]
+        self._values[_DEMAND, :n] = [flow.demand_mbps for flow in self._flows]
+        self._capacity[:len(self._links)] = [link.capacity_mbps for link in self._links]
         self._dirty = True
 
     # ------------------------------------------------------------------
-    # solving
+    # the per-change passes
     # ------------------------------------------------------------------
     def solve(self) -> SolveResult:
         """Bring rates up to date; returns what was recomputed."""
         self.counters.solve_calls += 1
         if not self._dirty:
             self.counters.noop_solves += 1
-            return SolveResult("noop", {}, self._refresh_changed_loads())
+            return SolveResult("noop")
 
+        n = len(self._flows)
         self.counters.full_solves += 1
-        targets = list(self._flows.values())
-        self.counters.flows_touched += len(targets)
-
-        raw = max_min_allocation(targets)
-        new_rates: Dict[str, float] = {}
-        for flow in targets:
-            rate = min(raw.get(flow.flow_id, 0.0), MAX_RATE_MBPS)
-            new_rates[flow.flow_id] = rate
-            if rate != flow.rate_mbps:
-                flow.rate_mbps = rate
-                for link in flow.path:
-                    self._changed_links.add(link.link_id)
+        self.counters.flows_touched += n
+        values = self._values
+        paths = self._paths[:n]
+        rates = np.minimum(
+            water_fill(
+                values[_WEIGHT, :n],
+                values[_DEMAND, :n],
+                paths,
+                self._capacity[:len(self._links)],
+            ),
+            MAX_RATE_MBPS,
+        )
+        moved = rates != values[_RATE, :n]
+        values[_RATE, :n] = rates
+        rate_list: List[float] = rates.tolist()
+        for flow, rate in zip(self._flows, rate_list):
+            flow.rate_mbps = rate
+        self._touched[paths[moved]] = True
+        changed = self._refresh_changed_loads(n)
 
         self._dirty = False
         if TRACER.enabled:
@@ -173,15 +266,52 @@ class AllocationEngine:
             TRACER.emit(
                 "allocator-solve",
                 mode="full",
-                flows_solved=len(targets),
-                flows_active=len(targets),
+                flows_solved=n,
+                flows_active=n,
             )
-        return SolveResult("full", new_rates, self._refresh_changed_loads())
+        return SolveResult("full", changed, list(self._flows), rate_list)
+
+    def progress(self, now: float) -> None:
+        """Advance every flow to ``now`` at its current rate.
+
+        A flow delivers ``min(rate * elapsed, remaining)``.  A persistent
+        stream's remaining volume is ``inf``, which that leaves ``inf``.
+        """
+        n = len(self._flows)
+        if now < self._clock:
+            row = int(np.argmax(self._values[_LAST, :n]))
+            raise ValueError(f"flow {self._flows[row].flow_id}: time moved backwards")
+        self._clock = now
+        if not n:
+            return
+        values = self._values
+        elapsed = now - values[_LAST, :n]
+        values[_LAST, :n] = now
+        remaining = values[_REMAINING, :n]
+        remaining -= np.minimum(values[_RATE, :n] * elapsed, remaining)
+        for flow, left in zip(self._flows, remaining.tolist()):
+            flow.remaining_mbit = left
+
+    def next_completion(self, now: float) -> float:
+        """Earliest predicted completion at current rates (may be ``inf``)."""
+        n = len(self._flows)
+        values = self._values
+        rates = values[_RATE, :n]
+        going = self._finite[:n] & (rates > 0)
+        if not going.any():
+            return math.inf
+        return float((now + values[_REMAINING, :n][going] / rates[going]).min())
+
+    def finished_flows(self) -> List[Flow]:
+        """Finite flows with no volume left, in registration order."""
+        n = len(self._flows)
+        done = self._finite[:n] & (self._values[_REMAINING, :n] <= _EPS)
+        return [self._flows[row] for row in done.nonzero()[0].tolist()]
 
     @property
     def rates(self) -> Dict[str, float]:
         """Current rate of every registered flow (a fresh snapshot)."""
-        return {flow_id: flow.rate_mbps for flow_id, flow in self._flows.items()}
+        return {flow.flow_id: flow.rate_mbps for flow in self._flows}
 
     def active_flow_count(self) -> int:
         return len(self._flows)
@@ -189,75 +319,132 @@ class AllocationEngine:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _join_path(self, flow: Flow) -> None:
-        """Add ``flow`` to its links' members; a loaded flow moves their load."""
-        flow_id = flow.flow_id
-        loaded = flow.rate_mbps != 0.0  # simlint: ignore[float-eq] -- exact sentinel, never arithmetic
-        for link in flow.path:
-            link_id = link.link_id
-            self._members.setdefault(link_id, set()).add(flow_id)
-            if loaded:
-                self._changed_links.add(link_id)
+    def _row(self, flow: Flow) -> int:
+        """Table row of ``flow``, or -1 when it is not registered."""
+        try:
+            return self._flows.index(flow)
+        except ValueError:
+            return -1
 
-    def _leave_path(self, flow: Flow) -> None:
-        """Drop ``flow`` from its links' members; its survivors need a solve."""
-        flow_id = flow.flow_id
-        loaded = flow.rate_mbps != 0.0  # simlint: ignore[float-eq] -- exact sentinel, never arithmetic
-        for link in flow.path:
-            link_id = link.link_id
-            members = self._members.get(link_id)
-            if members is not None:
-                members.discard(flow_id)
-            if loaded:
-                self._changed_links.add(link_id)
-            # The survivors on this link may now speed up.
-            self._dirty = True
+    def _grow_rows(self) -> None:
+        """Double the table's row capacity."""
+        size = 2 * self._values.shape[1]
+        values = np.zeros((5, size))
+        values[:, :self._values.shape[1]] = self._values
+        self._values = values
+        self._finite = np.resize(self._finite, size)
+        self._rank = np.resize(self._rank, size)
+        paths = np.full((size, self._paths.shape[1]), NO_LINK, dtype=np.intp)
+        paths[:self._paths.shape[0]] = self._paths
+        self._paths = paths
 
-    def _refresh_changed_loads(self) -> Set[str]:
-        """Derive each changed link's load from its members' rates.
+    def _link_slot(self, link: Link) -> int:
+        """Engine index of ``link``, indexing it on first sight."""
+        index = self._link_index.get(link.link_id)
+        if index is None:
+            index = self._link_index[link.link_id] = len(self._links)
+            self._links.append(link)
+            if index == self._capacity.shape[0]:
+                self._capacity = np.resize(self._capacity, 2 * index)
+                self._touched = np.resize(self._touched, 2 * index)
+            self._capacity[index] = link.capacity_mbps
+            self._touched[index] = False
+        return index
 
-        This is the only writer of :attr:`link_loads`.  Summing the
-        members in sorted order makes the loads exact and run-to-run
-        deterministic.  Returns the changed links and starts a new set.
+    def _write_path(self, row: int, path: List[Link]) -> None:
+        """Store ``path`` as table row ``row``, widening the matrix if needed."""
+        if len(path) > self._paths.shape[1]:
+            paths = np.full((self._paths.shape[0], len(path)), NO_LINK, dtype=np.intp)
+            paths[:, :self._paths.shape[1]] = self._paths
+            self._paths = paths
+        self._paths[row] = NO_LINK
+        self._paths[row, :len(path)] = [self._link_slot(link) for link in path]
+
+    def _leave_path(self, row: int) -> None:
+        """Take row ``row`` off its links; a loaded flow moves their load."""
+        path = self._paths[row]
+        if path[0] == NO_LINK:
+            return
+        if self._values[_RATE, row] != 0.0:  # simlint: ignore[float-eq] -- exact sentinel, never arithmetic
+            self._touched[path] = True
+        # The survivors on these links may now speed up.
+        self._dirty = True
+
+    def _refresh_changed_loads(self, n: int) -> Set[str]:
+        """Derive each touched link's load from its members' rates.
+
+        This is the only writer of :attr:`link_loads`.  Every link's
+        members are summed sequentially in sorted flow-ID order (as the
+        Python ``sum`` over ``sorted(member_ids)`` would), which makes
+        the loads exact and run-to-run deterministic.  Returns the
+        touched links and clears the marks.
         """
-        flows = self._flows
-        changed = self._changed_links
-        for link_id in changed:
-            members = self._members.get(link_id)
-            if members:
-                self.link_loads[link_id] = sum(
-                    flows[flow_id].rate_mbps for flow_id in sorted(members)
-                )
-            else:
-                self.link_loads[link_id] = 0.0
-        self._changed_links = set()
-        return changed
+        links = self._links
+        touched = self._touched[:len(links)]
+        touched[NO_LINK] = False
+        indices = touched.nonzero()[0]
+        if not indices.size:
+            return set()
+        touched[indices] = False
+        by_id = np.empty(n, dtype=np.intp)
+        by_id[self._rank[:n]] = np.arange(n)
+        loads = np.zeros(touched.shape[0])
+        np.add.at(
+            loads,
+            self._paths[by_id].ravel(),
+            np.repeat(self._values[_RATE, by_id], self._paths.shape[1]),
+        )
+        link_ids = [links[index].link_id for index in indices.tolist()]
+        self.link_loads.update(zip(link_ids, loads[indices].tolist()))
+        return set(link_ids)
 
     def check_consistency(self, flows: Iterable[Flow]) -> None:
-        """Assert bookkeeping matches ``flows`` after a solve (test/debug helper).
+        """Assert the table matches ``flows`` after a solve (test/debug helper).
 
-        Checks the flow registry, that :attr:`_members` is exactly the
-        path membership of the registered flows, and that every link's
-        load equals its members' rates summed in sorted member order.
+        ``flows`` are the flows in registration order (done ones are
+        skipped).  Checks, all with ``==``: that the table rows are those
+        flows in that order; that each row's weight, demand, rate,
+        remaining volume and path equal the flow's attributes; that the
+        sorted-ID list is ``sorted(ids)`` and the ranks index it; that
+        the capacities equal the links'; and that every link's load
+        equals its members' rates summed in sorted member order.
         """
-        expected = {flow.flow_id: flow for flow in flows if not flow.done}
-        if set(expected) != set(self._flows):
-            raise AssertionError(
-                f"flow registry drift: engine={sorted(self._flows)} "
-                f"expected={sorted(expected)}"
-            )
-        members: Dict[str, Set[str]] = {}
-        for flow_id, flow in self._flows.items():
+        expected = [flow for flow in flows if not flow.done]
+        ids = [flow.flow_id for flow in expected]
+        table_ids = [flow.flow_id for flow in self._flows]
+        if len(expected) != len(self._flows) or any(
+            a is not b for a, b in zip(expected, self._flows)
+        ):
+            raise AssertionError(f"flow table drift: engine={table_ids} expected={ids}")
+        if self._sorted_ids != sorted(ids):
+            raise AssertionError(f"sorted-id drift: {self._sorted_ids}")
+        n = len(ids)
+        if [self._sorted_ids[rank] for rank in self._rank[:n].tolist()] != ids:
+            raise AssertionError(f"rank drift: {self._rank[:n].tolist()}")
+        columns = {
+            "weight": (_WEIGHT, [flow.weight for flow in expected]),
+            "demand": (_DEMAND, [flow.demand_mbps for flow in expected]),
+            "rate": (_RATE, [flow.rate_mbps for flow in expected]),
+            "remaining": (_REMAINING, [flow.remaining_mbit for flow in expected]),
+        }
+        for name, (column, attribute) in columns.items():
+            table = self._values[column, :n].tolist()
+            if table != attribute:
+                raise AssertionError(f"{name} drift: table={table} flows={attribute}")
+        links = self._links
+        members: Dict[str, List[str]] = {}
+        for row, flow in enumerate(expected):
+            path = [links[i] for i in self._paths[row].tolist() if i != NO_LINK]
+            if path != flow.path:
+                raise AssertionError(f"path drift on {flow.flow_id}: {path}")
             for link in flow.path:
-                members.setdefault(link.link_id, set()).add(flow_id)
-        tracked = {link_id: ids for link_id, ids in self._members.items() if ids}
-        if tracked != members:
-            raise AssertionError(
-                f"link membership drift: engine={tracked} expected={members}"
-            )
+                members.setdefault(link.link_id, []).append(flow.flow_id)
+        capacities = [link.capacity_mbps for link in links]
+        if self._capacity[:len(links)].tolist() != capacities:
+            raise AssertionError(f"capacity drift: {capacities}")
+        rate_of = {flow.flow_id: flow.rate_mbps for flow in expected}
         for link_id in sorted(set(members) | set(self.link_loads)):
-            ids = sorted(members.get(link_id, ()))
-            load = sum(self._flows[flow_id].rate_mbps for flow_id in ids)
+            load = sum(rate_of[flow_id] for flow_id in sorted(members.get(link_id, ())))
             tracked_load = self.link_loads.get(link_id, 0.0)
             if tracked_load != load:
                 raise AssertionError(

@@ -30,6 +30,8 @@ class Flow:
             endpoints, in which case the flow is never bottlenecked.
         demand_mbps: Rate cap in Mbit/s (``math.inf`` = unconstrained).
         rate_mbps: Current allocated rate, set by the allocator.
+        remaining_mbit: Volume left to deliver (``inf`` for a stream),
+            advanced by the allocator's progress pass.
         weight: Fair-share weight.  A flow of weight *w* receives *w*
             times the rate of a weight-1 flow sharing its bottleneck,
             which is how an aggregate (e.g. a cohort of *w* sessions)
@@ -49,7 +51,6 @@ class Flow:
         "state",
         "started_at",
         "finished_at",
-        "last_progress_at",
         "owner",
     )
 
@@ -82,7 +83,6 @@ class Flow:
         self.state = FlowState.ACTIVE
         self.started_at = 0.0
         self.finished_at: Optional[float] = None
-        self.last_progress_at = 0.0
         self.owner = owner
 
     @property
@@ -92,27 +92,6 @@ class Flow:
     @property
     def done(self) -> bool:
         return self.state is not FlowState.ACTIVE
-
-    def progress(self, now: float) -> float:
-        """Advance the transfer to ``now`` at the current rate.
-
-        Returns the volume (Mbit) delivered since the last progress call.
-        """
-        elapsed = now - self.last_progress_at
-        if elapsed < 0:
-            raise ValueError(f"flow {self.flow_id}: time moved backwards")
-        delivered = self.rate_mbps * elapsed
-        if self.is_finite:
-            delivered = min(delivered, self.remaining_mbit)
-            self.remaining_mbit -= delivered
-        self.last_progress_at = now
-        return delivered
-
-    def eta(self, now: float) -> float:
-        """Predicted completion time at the current rate (may be ``inf``)."""
-        if not self.is_finite or self.rate_mbps <= 0:
-            return math.inf
-        return now + self.remaining_mbit / self.rate_mbps
 
     def __repr__(self) -> str:
         return (

@@ -406,7 +406,6 @@ class FluidNetwork:
             weight=weight,
         )
         flow.started_at = self.sim.now
-        flow.last_progress_at = self.sim.now
         transfer = Transfer(flow, self, on_complete)
         self._sync_to_now()
         self._transfers[flow_id] = transfer
@@ -437,8 +436,7 @@ class FluidNetwork:
         now = self.sim.now
         for stats in self.link_stats.values():
             stats.advance(now)
-        for transfer in self._transfers.values():
-            transfer.flow.progress(now)
+        self.engine.progress(now)
 
     def _reallocate(self) -> None:
         """Re-solve rates and reschedule the next completion.
@@ -457,9 +455,7 @@ class FluidNetwork:
 
     def _schedule_next_completion(self) -> None:
         self._epoch += 1
-        next_eta = math.inf
-        for transfer in self._transfers.values():
-            next_eta = min(next_eta, transfer.flow.eta(self.sim.now))
+        next_eta = self.engine.next_completion(self.sim.now)
         if math.isfinite(next_eta):
             delay = max(0.0, next_eta - self.sim.now)
             self.sim.schedule(delay, self._on_completion_event, self._epoch)
@@ -468,13 +464,8 @@ class FluidNetwork:
         if epoch != self._epoch:
             return  # superseded by a later reallocation
         self._sync_to_now()
-        finished = [
-            transfer
-            for transfer in self._transfers.values()
-            if transfer.flow.is_finite and transfer.flow.remaining_mbit <= _EPS
-        ]
-        for transfer in finished:
-            self._complete(transfer)
+        for flow in self.engine.finished_flows():
+            self._complete(self._transfers[flow.flow_id])
         self._reallocate()
 
     def _complete(self, transfer: Transfer) -> None:

@@ -9,6 +9,17 @@ allocation subject to demands, the allocation used by the fluid
 simulator whenever the flow set changes.  With all weights at the
 default 1.0 the arithmetic reduces exactly to the classic unweighted
 filling, which the equivalence property tests pin.
+
+:func:`water_fill` is the one solver.  It runs over a flow table of
+arrays (the layout :class:`~repro.network.allocator.AllocationEngine`
+keeps alive across solves); :func:`max_min_allocation` builds such a
+table once from :class:`Flow` objects for stateless callers.
+
+Every operation is either elementwise float64 arithmetic or a minimum,
+both exact, or a sequential sum in a fixed order (``np.add.at`` /
+``np.subtract.at`` visit their indices in order; ``np.sum`` adds
+pairwise and is never used).  So the rates are a pure function of the
+table's contents and row order, bit for bit.
 """
 
 from __future__ import annotations
@@ -16,10 +27,101 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List
 
+import numpy as np
+import numpy.typing as npt
+
 from repro.network.flows import Flow
-from repro.network.topology import Link
 
 _EPS = 1e-9
+
+#: Link index of the padding column in a path matrix.  Its capacity is
+#: ``inf``, so it never bounds the water level and never saturates.
+NO_LINK = 0
+
+
+def water_fill(
+    weight: npt.NDArray[np.float64],
+    demand: npt.NDArray[np.float64],
+    paths: npt.NDArray[np.intp],
+    capacity: npt.NDArray[np.float64],
+) -> npt.NDArray[np.float64]:
+    """Weighted max-min fair rates of a flow table (uncapped).
+
+    Args:
+        weight: Fair-share weight per flow (row).
+        demand: Rate cap per flow (``inf`` = unconstrained).
+        paths: ``(flows, width)`` link indices, each row a flow's path in
+            order, padded on the right with :data:`NO_LINK`.  A row whose
+            first entry is :data:`NO_LINK` has an empty path: the flow
+            crosses no shared resource and gets its demand.
+        capacity: Capacity per link index; ``capacity[NO_LINK]`` is
+            ``inf``.
+
+    Returns:
+        The rate of every row.  The link weights are summed, and frozen
+        flows' weights subtracted, sequentially in row-then-path order.
+    """
+    rates = demand.copy()
+    active = (paths[:, 0] != NO_LINK).nonzero()[0]
+    if not active.size:
+        return rates
+    width = paths.shape[1]
+    act_weight = weight[active]
+    act_demand = demand[active]
+    act_paths = paths[active]
+    # ``link_weight`` is the total weight of unfrozen flows crossing each
+    # link, so a per-unit-weight increment ``delta`` consumes
+    # ``delta * link_weight`` of its remaining capacity.
+    link_weight = np.zeros(capacity.shape[0])
+    np.add.at(link_weight, act_paths.ravel(), np.repeat(act_weight, width))
+    remaining = capacity.copy()
+    level = np.zeros(active.size)
+    ceiling = act_demand - _EPS
+
+    while True:
+        # Largest uniform per-weight increment before a link saturates,
+        # or a flow hits its demand cap.
+        loaded = (link_weight > _EPS).nonzero()[0]
+        delta = min(
+            float((remaining[loaded] / link_weight[loaded]).min(initial=math.inf)),
+            float(((act_demand - level) / act_weight).min()),
+        )
+        if not math.isfinite(delta):
+            # Only infinite-demand flows on unconstrained links remain;
+            # this cannot happen for capacitated paths, so guard anyway.
+            rates[active] = math.inf
+            break
+
+        delta = max(delta, 0.0)
+        level += delta * act_weight
+        remaining -= delta * link_weight
+
+        frozen = level >= ceiling
+        full = loaded[remaining[loaded] <= _EPS]
+        if full.size:
+            saturated = np.zeros(remaining.shape[0], dtype=np.bool_)
+            saturated[full] = True
+            frozen |= saturated[act_paths].any(axis=1)
+        done = frozen.nonzero()[0]
+        if not done.size or done.size == active.size:
+            # Every flow froze -- or none did, a numerical stall: freeze
+            # everything at the current level.
+            rates[active] = np.minimum(level, act_demand)
+            break
+        rates[active[done]] = np.minimum(level[done], act_demand[done])
+        np.subtract.at(
+            link_weight,
+            act_paths[done].ravel(),
+            np.repeat(act_weight[done], width),
+        )
+        keep = (~frozen).nonzero()[0]
+        active = active[keep]
+        act_weight = act_weight[keep]
+        act_demand = act_demand[keep]
+        ceiling = ceiling[keep]
+        act_paths = act_paths[keep]
+        level = level[keep]
+    return rates
 
 
 def max_min_allocation(flows: Iterable[Flow]) -> Dict[str, float]:
@@ -30,7 +132,8 @@ def max_min_allocation(flows: Iterable[Flow]) -> Dict[str, float]:
     resource).  Flow objects are *not* mutated; the caller applies the
     returned mapping ``flow_id -> rate_mbps``.
 
-    The allocation satisfies, and the property-based tests verify:
+    The allocation satisfies (:mod:`repro.network.invariants` checks the
+    first three, which imply the fourth):
 
     * feasibility -- no link's capacity is exceeded;
     * demand caps -- no flow exceeds its demand;
@@ -40,75 +143,21 @@ def max_min_allocation(flows: Iterable[Flow]) -> Dict[str, float]:
       demand receive rates proportional to their weights.
     """
     flow_list = [f for f in flows if not f.done]
-    rates: Dict[str, float] = {}
-
-    active: List[Flow] = []
-    for flow in flow_list:
-        if not flow.path:
-            rates[flow.flow_id] = flow.demand_mbps if math.isfinite(flow.demand_mbps) else math.inf
-        else:
-            active.append(flow)
-
-    # Per-link bookkeeping over the links actually used.  ``link_weight``
-    # is the total weight of unfrozen flows crossing the link, so the
-    # per-unit-weight increment consumes ``delta * link_weight`` of it.
-    link_capacity: Dict[str, float] = {}
-    link_objects: Dict[str, Link] = {}
-    link_weight: Dict[str, float] = {}
-    for flow in active:
-        for link in flow.path:
-            link_objects[link.link_id] = link
-            link_capacity.setdefault(link.link_id, link.capacity_mbps)
-            link_weight[link.link_id] = link_weight.get(link.link_id, 0.0) + flow.weight
-
-    level: Dict[str, float] = {f.flow_id: 0.0 for f in active}
-    remaining: Dict[str, float] = dict(link_capacity)
-
-    while active:
-        # Largest uniform per-weight increment before a link saturates...
-        delta = math.inf
-        for link_id, weight_sum in link_weight.items():
-            if weight_sum > _EPS:
-                delta = min(delta, remaining[link_id] / weight_sum)
-        # ...or a flow hits its demand cap.
-        for flow in active:
-            headroom = (flow.demand_mbps - level[flow.flow_id]) / flow.weight
-            delta = min(delta, headroom)
-
-        if not math.isfinite(delta):
-            # Only infinite-demand flows on unconstrained links remain;
-            # this cannot happen for capacitated paths, so guard anyway.
-            for flow in active:
-                rates[flow.flow_id] = math.inf
-            break
-
-        delta = max(delta, 0.0)
-        for flow in active:
-            level[flow.flow_id] += delta * flow.weight
-        for link_id, weight_sum in link_weight.items():
-            remaining[link_id] -= delta * weight_sum
-
-        saturated = {
-            link_id
-            for link_id, cap in remaining.items()
-            if cap <= _EPS and link_weight[link_id] > _EPS
-        }
-
-        still_active: List[Flow] = []
-        for flow in active:
-            at_demand = level[flow.flow_id] >= flow.demand_mbps - _EPS
-            on_saturated = any(link.link_id in saturated for link in flow.path)
-            if at_demand or on_saturated:
-                rates[flow.flow_id] = min(level[flow.flow_id], flow.demand_mbps)
-                for link in flow.path:
-                    link_weight[link.link_id] -= flow.weight
-            else:
-                still_active.append(flow)
-        if len(still_active) == len(active):
-            # Numerical stall guard: freeze everything at current level.
-            for flow in active:
-                rates[flow.flow_id] = min(level[flow.flow_id], flow.demand_mbps)
-            break
-        active = still_active
-
-    return rates
+    link_index: Dict[str, int] = {}
+    capacity: List[float] = [math.inf]
+    width = max([len(f.path) for f in flow_list], default=0) or 1
+    paths = np.full((len(flow_list), width), NO_LINK, dtype=np.intp)
+    for row, flow in enumerate(flow_list):
+        for column, link in enumerate(flow.path):
+            index = link_index.get(link.link_id)
+            if index is None:
+                index = link_index[link.link_id] = len(capacity)
+                capacity.append(link.capacity_mbps)
+            paths[row, column] = index
+    rates = water_fill(
+        np.array([f.weight for f in flow_list], dtype=np.float64),
+        np.array([f.demand_mbps for f in flow_list], dtype=np.float64),
+        paths,
+        np.array(capacity, dtype=np.float64),
+    )
+    return dict(zip([f.flow_id for f in flow_list], rates.tolist()))

@@ -24,7 +24,7 @@ CLI layer.  Four tools:
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.obs.metrics import Histogram
 from repro.obs.spans import (

@@ -15,7 +15,7 @@ surfaces when a ``.yaml`` file is actually opened.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Union
+from typing import Any, List, Mapping, Union
 
 from repro.scenarios.schema import ScenarioError, ScenarioSpec
 

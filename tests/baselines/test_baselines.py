@@ -1,7 +1,5 @@
 """Modes and the global-controller oracle."""
 
-import pytest
-
 from repro.baselines.modes import Mode
 from repro.baselines.oracle import OracleAppP, oracle_te_policy
 from repro.cdn.content import ContentCatalog

@@ -2,10 +2,7 @@
 
 import math
 
-import pytest
-
 from repro.cdn.content import ContentCatalog
-from repro.cdn.origin import Origin
 from repro.cdn.provider import Cdn
 from repro.cdn.server import CdnServer
 from repro.core.appp import EonaAppP, StatusQuoAppP

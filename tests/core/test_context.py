@@ -5,7 +5,7 @@ import pytest
 from repro.cdn.provider import Cdn
 from repro.cdn.server import CdnServer
 from repro.core.appp import StatusQuoAppP
-from repro.core.context import SimContext, build_context, resolve_sim_network
+from repro.core.context import build_context, resolve_sim_network
 from repro.core.infp import EonaInfP, StatusQuoInfP
 from repro.network.topology import NodeKind, Topology
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cdn.content import ContentCatalog
 from repro.cdn.provider import Cdn
 from repro.cdn.server import CdnServer
 from repro.core.infp import EnergyManager, EonaInfP, StatusQuoInfP, make_cdn_i2a

@@ -5,7 +5,6 @@ Small/fast configurations; the benchmarks run the full-size versions.
 
 import pytest
 
-from repro.baselines.modes import Mode
 from repro.experiments import (
     exp_e9_recipe,
     exp_e10_timescales,

@@ -1,7 +1,5 @@
 """Graceful degradation: dead or lying glasses must not break EONA loops."""
 
-import pytest
-
 from repro.cdn.provider import Cdn
 from repro.cdn.server import CdnServer
 from repro.core.appp import EonaAppP

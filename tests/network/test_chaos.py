@@ -5,7 +5,6 @@ link-capacity faults must never violate the substrate's invariants:
 volumes conserved, link loads within capacity, completions exact.
 """
 
-import math
 import random
 
 import pytest

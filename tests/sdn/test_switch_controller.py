@@ -6,7 +6,6 @@ from repro.network.fluidsim import FluidNetwork
 from repro.network.topology import NodeKind, Topology
 from repro.sdn.controller import ForwardingLoopError, SdnController
 from repro.sdn.messages import FlowMod, FlowModCommand, Match
-from repro.sdn.switch import Switch
 from repro.simkernel.kernel import Simulator
 
 

@@ -1,7 +1,5 @@
 """Windowed group-by aggregation: correctness and streaming stats."""
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

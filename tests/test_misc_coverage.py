@@ -1,9 +1,5 @@
 """Edge cases that don't belong to one package's suite."""
 
-import math
-
-import pytest
-
 from repro.sdn.messages import PortStats, StatsReply
 from repro.telemetry.records import record_from_pageload
 from repro.web.browser import PageLoadRecord
