@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from typing import List, Optional
 
@@ -476,6 +477,10 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     return 0
 
 
+def _interrupt(signum: int, frame: object) -> None:
+    raise KeyboardInterrupt
+
+
 def _serve_infp(args: argparse.Namespace) -> int:
     """Run the InfP plane as a TCP service (the server half of §14)."""
     from repro.experiments.service_worlds import build_infp_service
@@ -526,11 +531,20 @@ def _serve_infp(args: argparse.Namespace) -> int:
                 )
 
     server.on_bound = on_bound
+    # SIGINT and SIGTERM both stop the server through KeyboardInterrupt,
+    # so the feed, the world and the tracer are closed either way.  Set
+    # SIGINT explicitly: a background job of a non-interactive shell
+    # inherits it ignored.
+    previous = {
+        sig: signal.signal(sig, _interrupt) for sig in (signal.SIGINT, signal.SIGTERM)
+    }
     try:
         server.serve()
     except KeyboardInterrupt:
         pass
     finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
         if recorder is not None:
             recorder.close()
         world.infp.stop()

@@ -11,14 +11,19 @@ handlers, and on every query enforces, in order:
 3. **field narrowing** -- the grant's field list is applied to each
    payload (schemas serialize to dicts for this).
 
+A snapshot is serialized once, on the first query that sees it; every
+query then gets its own copy of that serialized form (the copy
+contract of :meth:`LookingGlass.query`).
+
 Both interfaces are instances of the same class; what differs is who
 owns them and which queries they register.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.privacy import blind_fields
 from repro.core.registry import Grant, OptInRegistry
@@ -61,6 +66,28 @@ class GlassUnavailableError(Exception):
 #: Fault modes settable via :meth:`LookingGlass.set_fault_mode`.
 FAULT_MODES = (None, "drop", "delay", "freeze")
 
+#: Leaf types a copy of a serialized payload may share (immutable).
+_SCALARS = (str, int, float, type(None))
+
+
+def _flat(row: Any) -> bool:
+    return type(row) is dict and all(
+        isinstance(value, _SCALARS) for value in row.values()
+    )
+
+
+def _copy_rows(rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    return [row.copy() for row in rows]
+
+
+def _copier(tree: Any) -> Callable[[Any], Any]:
+    """The cheapest copy of ``tree`` that shares no mutable part with it."""
+    if _flat(tree):
+        return dict.copy
+    if type(tree) is list and all(_flat(row) for row in tree):
+        return _copy_rows
+    return copy.deepcopy
+
 
 class LookingGlass:
     """One provider's EONA query server.
@@ -83,6 +110,9 @@ class LookingGlass:
         self.kind = kind
         self._handlers: Dict[str, Callable[..., Any]] = {}
         self._views: Dict[str, StaleView] = {}
+        #: query -> (snapshot, its serialized form, that form's copier);
+        #: holding the snapshot keeps its identity from being reused.
+        self._serialized: Dict[str, Tuple[Any, Any, Callable[[Any], Any]]] = {}
         self.queries_served = 0
         self.queries_denied = 0
         self.queries_failed = 0
@@ -105,8 +135,10 @@ class LookingGlass:
         """Export ``query``; with a refresh period, answers are snapshots.
 
         Snapshot handlers must be zero-argument (parameters cannot be
-        baked into a shared snapshot); live handlers may take keyword
-        parameters passed through from the query.
+        baked into a shared snapshot) and must return a new object on
+        every call: a snapshot is serialized once, keyed by its
+        identity.  Live handlers may take keyword parameters passed
+        through from the query.
         """
         if refresh_period_s > 0:
             self._views[query] = StaleView(
@@ -121,6 +153,7 @@ class LookingGlass:
         view = self._views.pop(query, None)
         if view is not None:
             view.stop()
+        self._serialized.pop(query, None)
         if refresh_period_s > 0:
             self._views[query] = StaleView(
                 self.sim, self._handlers[query], refresh_period_s
@@ -173,7 +206,16 @@ class LookingGlass:
         return self._fault_mode
 
     def query(self, requester: str, query: str, **params: Any) -> QueryResult:
-        """Run a query as ``requester``, enforcing grants and narrowing."""
+        """Run a query as ``requester``, enforcing grants and narrowing.
+
+        The payload belongs to the caller: it shares no mutable part
+        with the glass or with any other answer, so changing it cannot
+        change what the next query sees.  A published snapshot is
+        serialized once and each answer is a copy of that form (flat
+        rows are copied row by row, anything deeper is deep-copied);
+        live answers (zero period, or inside the first publish delay)
+        are serialized afresh on every query.
+        """
         if query not in self._handlers:
             self.queries_failed += 1
             raise UnknownQueryError(f"{self.owner!r} does not export {query!r}")
@@ -189,9 +231,9 @@ class LookingGlass:
         view = self._views.get(query)
         try:
             if view is not None:
-                raw, age = view.get()
+                raw, age, published = view.read()
             else:
-                raw, age = self._handlers[query](**params), 0.0
+                raw, age, published = self._handlers[query](**params), 0.0, False
         except Exception:
             self.queries_failed += 1
             raise
@@ -217,27 +259,40 @@ class LookingGlass:
                     cause=cause,
                     **extra,
                 )
+        if published:
+            payload = self._snapshot_copy(query, raw)
+        else:
+            payload = _serialize(raw)
         return QueryResult(
-            query=query, payload=self._narrow(raw, grant), age_s=age, cause=cause
+            query=query, payload=_narrow(payload, grant), age_s=age, cause=cause
         )
 
-    # ------------------------------------------------------------------
-    def _narrow(self, raw: Any, grant: Grant) -> Any:
-        if grant.all_fields:
-            return self._serialize(raw)
-        serialized = self._serialize(raw)
-        if isinstance(serialized, list):
-            return [blind_fields(item, grant.fields) for item in serialized]
-        if isinstance(serialized, Mapping):
-            return blind_fields(serialized, grant.fields)
-        return serialized
+    def _snapshot_copy(self, query: str, snapshot: Any) -> Any:
+        """A fresh copy of ``snapshot``'s serialized form (made once)."""
+        cached = self._serialized.get(query)
+        if cached is None or cached[0] is not snapshot:
+            serialized = _serialize(snapshot)
+            cached = (snapshot, serialized, _copier(serialized))
+            self._serialized[query] = cached
+        return cached[2](cached[1])
 
-    @staticmethod
-    def _serialize(raw: Any) -> Any:
-        if hasattr(raw, "to_dict"):
-            return raw.to_dict()
-        if isinstance(raw, list):
-            return [
-                item.to_dict() if hasattr(item, "to_dict") else item for item in raw
-            ]
-        return raw
+
+def _dump(item: Any) -> Any:
+    # A schema's to_dict is its field plan's dumper.
+    return item.to_dict() if hasattr(item, "to_dict") else item
+
+
+def _serialize(raw: Any) -> Any:
+    if isinstance(raw, list):
+        return [_dump(item) for item in raw]
+    return _dump(raw)
+
+
+def _narrow(serialized: Any, grant: Grant) -> Any:
+    if grant.all_fields:
+        return serialized
+    if isinstance(serialized, list):
+        return [blind_fields(item, grant.fields) for item in serialized]
+    if isinstance(serialized, Mapping):
+        return blind_fields(serialized, grant.fields)
+    return serialized

@@ -58,14 +58,24 @@ class StaleView(Generic[ValueT]):
 
     def get(self) -> Tuple[ValueT, float]:
         """Return ``(value, age_seconds)`` as a querier sees it."""
+        value, age, _published = self.read()
+        return value, age
+
+    def read(self) -> Tuple[ValueT, float, bool]:
+        """:meth:`get` plus whether the value is the published snapshot.
+
+        ``published`` is False for a live read: a zero period, or the
+        fallback inside the first publish delay.  A published value is
+        the same object on every read until the next publish.
+        """
         if self.refresh_period_s <= 0:
-            return self.fetch(), 0.0
+            return self.fetch(), 0.0, False
         if self._value is None or self.sim.now < self._visible_at:
             # Nothing published yet (only possible inside the first
             # publish delay); fall back to a live read with zero age so
             # consumers need no special bootstrap case.
-            return self.fetch(), 0.0
-        return self._value, self.sim.now - self._taken_at
+            return self.fetch(), 0.0, False
+        return self._value, self.sim.now - self._taken_at, True
 
     def value(self) -> ValueT:
         return self.get()[0]

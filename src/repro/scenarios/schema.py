@@ -7,9 +7,11 @@ spec into a live world; this module never touches the simulator, so
 specs can be validated anywhere (CLI, CI) without building anything.
 
 **One parse.**  Every spec class is a frozen dataclass, read and written
-by one field-driven walker (:func:`_parse` / :func:`_dump`).  A field's
-YAML key is its name unless ``metadata["key"]`` renames it; its type is
-its annotation (strings, tags and string maps are coerced by
+by one field-driven walker (:func:`_parse` / :func:`_dump`) over the
+class's :func:`repro.core.schemas.field_plan`, the same compiled view
+the wire codec uses.  A field's YAML key is its name unless
+``metadata["key"]`` renames it; its type is its annotation (strings,
+tags and string maps are coerced by
 :func:`repro.core.schemas.coerce_value`, nested spec classes recurse,
 :data:`Num` fields take a number or a ``"$param"`` reference); fields
 without a default are required and non-empty; ``metadata["choices"]``
@@ -37,12 +39,11 @@ they were written with.  Auto link ids follow the topology convention
 from __future__ import annotations
 
 import dataclasses
-import functools
 import typing
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.core.schemas import SchemaError, coerce_value
+from repro.core.schemas import FieldSlot, SchemaError, coerce_value, field_plan
 from repro.faults.plan import FaultEvent, FaultPlan, get_plan
 from repro.network.topology import NodeKind
 
@@ -115,33 +116,9 @@ class _Spec:
         """Cross-field rules of this class, run once it is parsed."""
 
 
-@dataclass(frozen=True)
-class _Slot:
-    """One spec field as the walker sees it (computed once per class)."""
-
-    name: str
-    key: str
-    hint: Any  # the annotation, ``Optional`` stripped
-    default: Any  # MISSING for a required field
-    meta: Mapping[str, Any]
-
-
-@functools.lru_cache(maxsize=None)
-def _slots(cls: type) -> Tuple[_Slot, ...]:
-    hints = typing.get_type_hints(cls)
-    slots = []
-    for spec_field in dataclasses.fields(cls):
-        hint = hints[spec_field.name]
-        args = typing.get_args(hint)
-        if typing.get_origin(hint) is Union and type(None) in args:
-            rest = tuple(arg for arg in args if arg is not type(None))
-            hint = rest[0] if len(rest) == 1 else Union[rest]
-        default = spec_field.default
-        if spec_field.default_factory is not dataclasses.MISSING:
-            default = spec_field.default_factory()
-        key = spec_field.metadata.get("key", spec_field.name)
-        slots.append(_Slot(spec_field.name, key, hint, default, spec_field.metadata))
-    return tuple(slots)
+def _key(slot: FieldSlot) -> str:
+    """A field's YAML key: its name unless ``metadata["key"]`` renames it."""
+    return slot.metadata.get("key", slot.name)
 
 
 def _mapping(value: Any, where: str) -> Mapping[str, Any]:
@@ -162,26 +139,26 @@ def _sequence(value: Any, where: str) -> Any:
 def _parse(cls: type, data: Any, where: str) -> Any:
     """Build one spec class from its YAML mapping."""
     data = _mapping(data, where)
-    slots = _slots(cls)
-    unknown = sorted(set(data) - {slot.key for slot in slots})
+    slots = field_plan(cls).slots
+    unknown = sorted(set(data) - {_key(slot) for slot in slots})
     if unknown:
         raise ScenarioError(
             f"{where}: unknown key(s) {', '.join(map(repr, unknown))}"
-            f" (known: {', '.join(sorted(slot.key for slot in slots))})"
+            f" (known: {', '.join(sorted(_key(slot) for slot in slots))})"
         )
-    required = {slot.key for slot in slots if slot.default is dataclasses.MISSING}
+    required = {_key(slot) for slot in slots if slot.default is dataclasses.MISSING}
     missing = sorted(required - set(data))
     if missing:
         raise ScenarioError(f"{where}: missing required key(s) {', '.join(missing)}")
     values = {}
     for slot in slots:
-        if data.get(slot.key) is None and slot.key not in required:
+        if data.get(_key(slot)) is None and _key(slot) not in required:
             continue
-        path = f"{where}.{slot.key}"
-        value = _parse_value(data[slot.key], slot.hint, path)
-        if slot.key in required and isinstance(value, (str, tuple)) and not value:
+        path = f"{where}.{_key(slot)}"
+        value = _parse_value(data[_key(slot)], slot.bare, path)
+        if _key(slot) in required and isinstance(value, (str, tuple)) and not value:
             raise ScenarioError(f"{path}: must not be empty")
-        choices = slot.meta.get("choices")
+        choices = slot.metadata.get("choices")
         if choices and value not in choices:
             raise ScenarioError(f"{path}: unknown value {value!r} (known: {', '.join(choices)})")
         values[slot.name] = value
@@ -229,10 +206,10 @@ def _dump(value: Any) -> Any:
     """The inverse of :func:`_parse`; fields at their default are omitted."""
     if isinstance(value, _Spec):
         data = {}
-        for slot in _slots(type(value)):
+        for slot in field_plan(type(value)).slots:
             item = getattr(value, slot.name)
             if item != slot.default or type(item) is not type(slot.default):
-                data[slot.key] = _dump(item)
+                data[_key(slot)] = _dump(item)
         return data
     if isinstance(value, (list, tuple)):
         return [{item.tag: _dump(item)} if getattr(item, "tag", "") else _dump(item)
@@ -264,13 +241,13 @@ def _substitute(value: Any, params: Mapping[str, Any], meta: Mapping[str, Any], 
 def _resolve(spec: Any, params: Mapping[str, Any], where: str) -> Any:
     """A copy of ``spec`` with every :data:`Num` substituted and bounded."""
     changes = {}
-    for slot in _slots(type(spec)):
+    for slot in field_plan(type(spec)).slots:
         value = getattr(spec, slot.name)
-        path = f"{where}.{slot.key}"
+        path = f"{where}.{_key(slot)}"
         if value is None:
             continue
-        if slot.hint == Num:
-            changes[slot.name] = _substitute(value, params, slot.meta, path)
+        if slot.bare == Num:
+            changes[slot.name] = _substitute(value, params, slot.metadata, path)
         elif isinstance(value, _Spec):
             changes[slot.name] = _resolve(value, params, path)
         elif isinstance(value, tuple) and value and isinstance(value[0], _Spec):
@@ -278,9 +255,9 @@ def _resolve(spec: Any, params: Mapping[str, Any], where: str) -> Any:
                 _resolve(item, params, f"{path}[{index}].{item.tag}".rstrip("."))
                 for index, item in enumerate(value)
             )
-        elif isinstance(value, dict) and typing.get_args(slot.hint)[1] == Num:
+        elif isinstance(value, dict) and typing.get_args(slot.bare)[1] == Num:
             changes[slot.name] = {
-                key: _substitute(item, params, slot.meta, f"{path}.{key}")
+                key: _substitute(item, params, slot.metadata, f"{path}.{key}")
                 for key, item in value.items()
             }
     return dataclasses.replace(spec, **changes)

@@ -23,7 +23,7 @@ query-plane messages defined here (:class:`QueryRequest`,
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import dataclass, field, is_dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.core.interfaces import QueryResult
@@ -38,6 +38,7 @@ from repro.core.schemas import (
     ServerHintInfo,
     _Schema,
     dataclass_from_dict,
+    field_plan,
 )
 
 #: Envelope version; bump on any framing/routing change.
@@ -153,20 +154,34 @@ def wire_types() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
+def _nested_dataclass(value: object) -> object:
+    """``json.dumps`` hook: a dataclass nested in a body becomes its dict."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return field_plan(type(value)).dump(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def encode(message: object) -> str:
-    """One object -> one canonical JSON line (no trailing newline)."""
+    """One object -> one canonical JSON line (no trailing newline).
+
+    The body is the message's fields read through its field plan, not
+    a copy: ``json.dumps`` only reads it, and turns any dataclass nested
+    in it into its dict, so the line equals the canonical JSON of
+    ``dataclasses.asdict(message)``.
+    """
     name = type(message).__name__
     if name not in _REGISTRY:
         raise CodecError(f"unregistered wire type {name!r}")
-    body = message.to_dict() if isinstance(message, _Schema) else asdict(message)
     envelope = {
         "v": WIRE_VERSION,
         "schemas": SCHEMA_VERSION,
         "type": name,
-        "body": body,
+        "body": field_plan(type(message)).fields_of(message),
     }
     try:
-        return json.dumps(envelope, sort_keys=True, allow_nan=False)
+        return json.dumps(
+            envelope, sort_keys=True, allow_nan=False, default=_nested_dataclass
+        )
     except (TypeError, ValueError) as error:
         raise CodecError(f"cannot serialize {name}: {error}") from None
 
