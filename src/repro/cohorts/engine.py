@@ -30,7 +30,7 @@ never materialize unless a scenario asks for them via
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy
 
@@ -59,6 +59,25 @@ _FLOAT_COLUMNS = (
     "arrival_t",
 )
 _BOOL_COLUMNS = ("started", "stalled")
+
+#: Beacon metric keys per cohort kind, in the order a record carries them.
+_VIDEO_METRICS = (
+    "buffering_ratio",
+    "rebuffer_time_s",
+    "mean_bitrate_mbps",
+    "join_time_s",
+    "play_time_s",
+    "abandoned",
+    "engagement",
+)
+_WEB_METRICS = ("plt_s", "total_mbit", "mean_throughput_mbps", "satisfaction")
+
+
+def _per_row(
+    names: Tuple[str, ...], columns: Tuple[numpy.ndarray, ...]
+) -> Iterator[Dict[str, float]]:
+    """Yield one ``{name: value}`` dict of Python floats per row of ``columns``."""
+    return (dict(zip(names, values)) for values in zip(*(c.tolist() for c in columns)))
 
 
 class CohortEngine:
@@ -272,11 +291,7 @@ class CohortEngine:
         weights = self._g["count"]
         probabilities = weights / weights.sum()
         rows = self._sample_rng.choice(self._cohort.size, size=k, p=probabilities)
-        now = self.sim.now
-        records = [
-            self._beacon_for_row(int(row), now, abandoned=False)
-            for row in rows
-        ]
+        records = self._beacons(rows, self.sim.now, numpy.zeros(k, dtype=bool))
         self.counters["cohort.individuals_sampled"] += k
         return records
 
@@ -428,15 +443,18 @@ class CohortEngine:
         ending = done_video | done_web | abandoned
         if not ending.any():
             return
-        for row in numpy.nonzero(ending)[0]:
-            index = int(row)
-            sessions = float(g["count"][index])
-            record = self._beacon_for_row(index, now, bool(abandoned[index]))
-            self.counters["cohort.beacons"] += 1
-            if abandoned[index]:
-                self.counters["cohort.abandoned"] += int(round(sessions))
+        rows = numpy.nonzero(ending)[0]
+        gave_up = abandoned[rows]
+        records = self._beacons(rows, now, gave_up)
+        counters = self.counters
+        for record, sessions, quit_early in zip(
+            records, g["count"][rows].tolist(), gave_up.tolist()
+        ):
+            counters["cohort.beacons"] += 1
+            if quit_early:
+                counters["cohort.abandoned"] += int(round(sessions))
             else:
-                self.counters["cohort.completed"] += int(round(sessions))
+                counters["cohort.completed"] += int(round(sessions))
             if self.beacon_sink is not None:
                 self.beacon_sink(record, sessions)
         self._keep(~ending)
@@ -513,52 +531,66 @@ class CohortEngine:
     # ------------------------------------------------------------------
     # beacons
     # ------------------------------------------------------------------
-    def _beacon_for_row(self, row: int, now: float, abandoned: bool) -> SessionRecord:
+    def _beacons(
+        self, rows: numpy.ndarray, now: float, abandoned: numpy.ndarray
+    ) -> List[SessionRecord]:
+        """One cohort-weighted beacon per entry of ``rows``, in order.
+
+        ``rows`` indexes the generation arrays (entries may repeat) and
+        ``abandoned`` flags each entry.  Every metric is an elementwise
+        float64 pass over the rows of one kind, so each value equals the
+        one a row-at-a-time computation would give.
+        """
+        cohorts = self._cohort[rows]
+        vid = self._is_video[cohorts]
+        video = _per_row(_VIDEO_METRICS, self._video_columns(rows[vid], abandoned[vid]))
+        web = _per_row(_WEB_METRICS, self._web_columns(rows[~vid], now))
+        specs = self.specs
+        return [
+            SessionRecord(
+                time=now,
+                attrs=specs[cohort].beacon_attrs(),
+                metrics=next(video) if is_video else next(web),
+            )
+            for cohort, is_video in zip(cohorts.tolist(), vid.tolist())
+        ]
+
+    def _video_columns(
+        self, rows: numpy.ndarray, abandoned: numpy.ndarray
+    ) -> Tuple[numpy.ndarray, ...]:
+        """The :data:`_VIDEO_METRICS` columns of video ``rows``."""
         g = self._g
-        spec = self.specs[int(self._cohort[row])]
-        if spec.kind == VIDEO:
-            play = float(g["play_s"][row])
-            rebuffer = float(g["rebuffer_s"][row])
-            denominator = play + rebuffer
-            joined = bool(g["started"][row])
-            if denominator > 0:
-                buffering_ratio = rebuffer / denominator
-            else:
-                buffering_ratio = 0.0 if joined else 1.0
-            mean_bitrate = (
-                float(g["bitrate_play_s"][row]) / play if play > 0 else 0.0
-            )
-            join_time = float(g["join_time_s"][row]) if joined else -1.0
-            engagement = (
-                float(
-                    engagement_vec(
-                        buffering_ratio,
-                        mean_bitrate,
-                        join_time,
-                        max_bitrate_mbps=self.ladder.highest,
-                    )
-                )
-                if joined
-                else 0.0
-            )
-            metrics = {
-                "buffering_ratio": buffering_ratio,
-                "rebuffer_time_s": rebuffer,
-                "mean_bitrate_mbps": mean_bitrate,
-                "join_time_s": join_time,
-                "play_time_s": play,
-                "abandoned": 1.0 if abandoned else 0.0,
-                "engagement": engagement,
-            }
-        else:
-            plt = max(float(now - g["arrival_t"][row]), 1e-9)
-            metrics = {
-                "plt_s": plt,
-                "total_mbit": float(g["downloaded_mbit"][row]),
-                "mean_throughput_mbps": float(g["downloaded_mbit"][row]) / plt,
-                "satisfaction": float(satisfaction_from_plt_array([plt])[0]),
-            }
-        return SessionRecord(time=now, attrs=spec.beacon_attrs(), metrics=metrics)
+        play = g["play_s"][rows]
+        rebuffer = g["rebuffer_s"][rows]
+        joined = g["started"][rows]
+        denominator = play + rebuffer
+        # No playback and no stall: a joined session buffered nothing, an
+        # unjoined one spent its whole life waiting.
+        buffering_ratio = numpy.divide(
+            rebuffer, denominator, out=numpy.where(joined, 0.0, 1.0), where=denominator > 0
+        )
+        mean_bitrate = numpy.divide(
+            g["bitrate_play_s"][rows], play, out=numpy.zeros_like(play), where=play > 0
+        )
+        join_time = numpy.where(joined, g["join_time_s"][rows], -1.0)
+        engagement = engagement_vec(
+            buffering_ratio, mean_bitrate, join_time, max_bitrate_mbps=self.ladder.highest
+        )
+        return (
+            buffering_ratio,
+            rebuffer,
+            mean_bitrate,
+            join_time,
+            play,
+            numpy.where(abandoned, 1.0, 0.0),
+            numpy.where(joined, engagement, 0.0),
+        )
+
+    def _web_columns(self, rows: numpy.ndarray, now: float) -> Tuple[numpy.ndarray, ...]:
+        """The :data:`_WEB_METRICS` columns of web ``rows``."""
+        downloaded = self._g["downloaded_mbit"][rows]
+        plt = numpy.maximum(now - self._g["arrival_t"][rows], 1e-9)
+        return (plt, downloaded, downloaded / plt, satisfaction_from_plt_array(plt))
 
     # ------------------------------------------------------------------
     # array plumbing

@@ -24,7 +24,12 @@ def satisfaction_from_plt(
     """
     if plt_s < 0:
         raise ValueError(f"plt must be non-negative, got {plt_s!r}")
-    return 1.0 / (1.0 + math.exp(steepness * (plt_s - midpoint_s)))
+    try:
+        return 1.0 / (1.0 + math.exp(steepness * (plt_s - midpoint_s)))
+    except OverflowError:
+        # exp overflows past a ~892 s load (default curve): the curve's
+        # limit, as the array form returns it.
+        return 0.0
 
 
 def satisfaction_from_plt_array(
@@ -37,10 +42,12 @@ def satisfaction_from_plt_array(
     Same logistic curve, element-wise, for the cohort engine's web
     satisfaction path; the property tests pin element-wise agreement
     with the scalar function.  Accepts anything ``numpy.asarray`` does.
+    A PLT whose ``exp`` overflows maps to 0.0 without a warning.
     """
     import numpy  # deferred: the scalar path stays dependency-free
 
     values = numpy.asarray(plt_s, dtype=float)
     if numpy.any(values < 0):
         raise ValueError("plt must be non-negative")
-    return 1.0 / (1.0 + numpy.exp(steepness * (values - midpoint_s)))
+    with numpy.errstate(over="ignore"):
+        return 1.0 / (1.0 + numpy.exp(steepness * (values - midpoint_s)))

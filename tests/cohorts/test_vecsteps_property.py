@@ -7,10 +7,11 @@ the fluid path.
 """
 
 import math
+import warnings
 
 import numpy
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cohorts.vecsteps import (
     buffer_advance_vec,
@@ -167,15 +168,36 @@ class TestWebSatisfaction:
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(
-            st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=32
+            st.one_of(
+                st.floats(min_value=0.0, max_value=100.0),
+                st.floats(min_value=0.0, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=32,
         )
     )
+    @example([900.0, math.inf, 0.0])
     def test_elementwise_agreement(self, plts):
-        values = satisfaction_from_plt_array(numpy.array(plts))
+        # Loads slow enough to overflow ``exp`` (~892 s and up) included:
+        # both forms return 0.0, and neither raises or warns.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = satisfaction_from_plt_array(numpy.array(plts))
         for i, plt in enumerate(plts):
             assert values[i] == pytest.approx(
                 satisfaction_from_plt(plt), abs=ULP_TOL
             )
+
+    def test_overflowing_plt_is_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = satisfaction_from_plt_array([900.0, math.inf])
+        assert values.tolist() == [0.0, 0.0]
+
+    def test_values_below_overflow_unchanged(self):
+        plts = numpy.linspace(0.0, 880.0, 4001)
+        expected = 1.0 / (1.0 + numpy.exp(0.8 * (plts - 5.0)))
+        assert satisfaction_from_plt_array(plts).tolist() == expected.tolist()
 
     def test_negative_plt_rejected(self):
         with pytest.raises(ValueError):

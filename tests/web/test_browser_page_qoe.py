@@ -1,5 +1,6 @@
 """Web pages, browser loads, and the PLT satisfaction curve."""
 
+import math
 import random
 
 import pytest
@@ -103,6 +104,15 @@ class TestSatisfaction:
 
     def test_fast_load_near_one(self):
         assert satisfaction_from_plt(0.5) > 0.95
+
+    def test_overflowing_plt_is_zero(self):
+        # exp(0.8 * (900 - 5)) overflows a double: the limit, not an error.
+        assert satisfaction_from_plt(900.0) == 0.0
+        assert satisfaction_from_plt(math.inf) == 0.0
+
+    def test_values_below_overflow_unchanged(self):
+        for plt in (0.0, 5.0, 100.0, 880.0):
+            assert satisfaction_from_plt(plt) == 1.0 / (1.0 + math.exp(0.8 * (plt - 5.0)))
 
     def test_negative_plt_rejected(self):
         with pytest.raises(ValueError):
