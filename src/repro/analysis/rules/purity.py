@@ -1,8 +1,8 @@
 """handler-purity: kernel callbacks must not mutate module-level state.
 
 Event handlers registered with the simulation kernel (``sim.schedule``,
-``sim.schedule_at``, ``sim.call_soon``) run at times decided by the event
-queue.  If a handler writes module globals, the result depends on event
+``sim.schedule_at``, ``sim.call_soon``, ``sim.at_instant_end``) run at
+times decided by the event queue.  If a handler writes module globals, the result depends on event
 interleaving and leaks across experiments that share the interpreter
 (e.g. multiseed sweeps in one process).  Handlers may mutate the objects
 passed to them (``self``, arguments, closures) -- just not the module.
@@ -30,7 +30,7 @@ from repro.analysis.core import Finding, ModuleContext, Rule
 from repro.analysis.rules import register
 
 #: Simulator methods that register a callback (first callable argument).
-REGISTER_METHODS = {"schedule", "schedule_at", "call_soon"}
+REGISTER_METHODS = {"schedule", "schedule_at", "call_soon", "at_instant_end"}
 
 #: Method names that mutate their receiver in place.
 _MUTATORS = {

@@ -4,8 +4,11 @@
 :class:`~repro.network.fluidsim.FluidNetwork`: one row per registered
 flow, in registration order, holding its weight, demand, rate,
 remaining volume, last-progress time, finite-size flag, rank in
-flow-ID order and path (a row of engine link indices).  The network
-tells the engine *that* something changed (a flow started, finished,
+flow-ID order and path (a row of link-table indices).  It also owns
+the :class:`~repro.network.linkstats.LinkTable`: one row per link
+(seeded with a network's topology links) holding capacity, current
+load and the load integrals that :class:`LinkStats` views read.  The
+network tells the engine *that* something changed (a flow started, finished,
 moved to a new path; a demand, weight or link capacity moved) and the
 next :meth:`AllocationEngine.solve` re-solves every registered flow in
 one max-min pass over the table.  A solve with no mutation since the
@@ -15,7 +18,8 @@ The engine runs the four per-change passes of the fluid network as
 array operations on that table: water-filling (:func:`water_fill`),
 flow progress (:meth:`AllocationEngine.progress`), the next completion
 (:meth:`AllocationEngine.next_completion`,
-:meth:`AllocationEngine.finished_flows`) and changed-link loads.
+:meth:`AllocationEngine.finished_flows`) and changed-link loads,
+written into the link table's load column.
 
 The engine is the only writer of ``flow.path``, ``flow.rate_mbps`` and
 ``flow.remaining_mbit`` of registered flows: every value it computes
@@ -37,6 +41,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.network.flows import Flow
+from repro.network.linkstats import LinkTable
 from repro.network.maxmin import NO_LINK, water_fill
 from repro.network.topology import Link
 from repro.obs.trace import TRACER
@@ -86,17 +91,27 @@ class SolveResult:
 
     Attributes:
         mode: ``"full"`` or ``"noop"``.
-        changed_links: Links whose aggregate load moved since the last
-            solve (including links drained by removed/rerouted flows).
+        changed: Link-table rows whose aggregate load moved since the
+            last solve (including links drained by removed/rerouted
+            flows), ascending.
         flows: Every registered flow after a full solve, in
             registration order; empty for a noop.
         flow_rates: Their new rates (capped at :data:`MAX_RATE_MBPS`).
+        links: The link table's links, indexed by row.
     """
 
     mode: str
-    changed_links: Set[str] = field(default_factory=set)
+    changed: npt.NDArray[np.intp] = field(
+        default_factory=lambda: np.zeros(0, dtype=np.intp)
+    )
     flows: List[Flow] = field(default_factory=list)
     flow_rates: List[float] = field(default_factory=list)
+    links: List[Link] = field(default_factory=list)
+
+    @property
+    def changed_links(self) -> Set[str]:
+        """IDs of the :attr:`changed` links, built on demand."""
+        return {self.links[row].link_id for row in self.changed.tolist()}
 
     @property
     def rates(self) -> Dict[str, float]:
@@ -117,9 +132,13 @@ class AllocationEngine:
     Paths are rows of a ``(capacity, width)`` link-index matrix padded
     with :data:`NO_LINK`, so the row-major order of the matrix is the
     flow-then-path order every sum in :func:`water_fill` follows.
+
+    Args:
+        links: Links to seed the link table with, in order; links first
+            seen on a path are appended.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, links: Iterable[Link] = ()) -> None:
         self.counters = EngineCounters()
         # The flow table: Flow objects in registration order, one row
         # of the arrays below per flow.
@@ -132,15 +151,9 @@ class AllocationEngine:
         self._finite: npt.NDArray[np.bool_] = np.zeros(16, dtype=np.bool_)
         self._rank: npt.NDArray[np.intp] = np.zeros(16, dtype=np.intp)
         self._paths: npt.NDArray[np.intp] = np.full((16, 1), NO_LINK, dtype=np.intp)
-        # The engine link index: links seen on any registered path,
-        # after an uncapacitated stand-in at index NO_LINK (the padding).
-        self._link_index: Dict[str, int] = {}
-        self._links: List[Link] = [Link("", "", "", capacity_mbps=math.inf)]
-        self._capacity: npt.NDArray[np.float64] = np.full(16, math.inf)
-        # Links whose load a join or leave moved since the last solve.
-        self._touched: npt.NDArray[np.bool_] = np.zeros(16, dtype=np.bool_)
-        # link_id -> sum of member rates; written only by solve().
-        self.link_loads: Dict[str, float] = {}
+        # Per-link columns; path matrix entries index its rows.  Its
+        # load column is written only by solve().
+        self.link_table = LinkTable(links)
         # Set by every mutation that can move a rate; cleared by solve().
         self._dirty = False
         # The latest last-progress time of any row: progress() may not
@@ -212,7 +225,7 @@ class AllocationEngine:
         flow.path = list(new_path)
         self._write_path(row, flow.path)
         if flow.rate_mbps != 0.0:  # simlint: ignore[float-eq] -- exact sentinel, never arithmetic
-            self._touched[self._paths[row]] = True
+            self.link_table.touched[self._paths[row]] = True
         self._dirty = True
 
     def invalidate(self) -> None:
@@ -224,7 +237,7 @@ class AllocationEngine:
         n = len(self._flows)
         self._values[_WEIGHT, :n] = [flow.weight for flow in self._flows]
         self._values[_DEMAND, :n] = [flow.demand_mbps for flow in self._flows]
-        self._capacity[:len(self._links)] = [link.capacity_mbps for link in self._links]
+        self.link_table.read_capacities()
         self._dirty = True
 
     # ------------------------------------------------------------------
@@ -247,7 +260,7 @@ class AllocationEngine:
                 values[_WEIGHT, :n],
                 values[_DEMAND, :n],
                 paths,
-                self._capacity[:len(self._links)],
+                self.link_table.capacity,
             ),
             MAX_RATE_MBPS,
         )
@@ -256,7 +269,7 @@ class AllocationEngine:
         rate_list: List[float] = rates.tolist()
         for flow, rate in zip(self._flows, rate_list):
             flow.rate_mbps = rate
-        self._touched[paths[moved]] = True
+        self.link_table.touched[paths[moved]] = True
         changed = self._refresh_changed_loads(n)
 
         self._dirty = False
@@ -269,7 +282,9 @@ class AllocationEngine:
                 flows_solved=n,
                 flows_active=n,
             )
-        return SolveResult("full", changed, list(self._flows), rate_list)
+        return SolveResult(
+            "full", changed, list(self._flows), rate_list, self.link_table.links
+        )
 
     def progress(self, now: float) -> None:
         """Advance every flow to ``now`` at its current rate.
@@ -298,9 +313,8 @@ class AllocationEngine:
         values = self._values
         rates = values[_RATE, :n]
         going = self._finite[:n] & (rates > 0)
-        if not going.any():
-            return math.inf
-        return float((now + values[_REMAINING, :n][going] / rates[going]).min())
+        etas = now + values[_REMAINING, :n][going] / rates[going]
+        return float(np.minimum.reduce(etas, initial=math.inf))
 
     def finished_flows(self) -> List[Flow]:
         """Finite flows with no volume left, in registration order."""
@@ -312,6 +326,13 @@ class AllocationEngine:
     def rates(self) -> Dict[str, float]:
         """Current rate of every registered flow (a fresh snapshot)."""
         return {flow.flow_id: flow.rate_mbps for flow in self._flows}
+
+    @property
+    def link_loads(self) -> Dict[str, float]:
+        """``link_id -> load`` of every link in the table (a fresh snapshot)."""
+        table = self.link_table
+        loads: List[float] = table.load[1:].tolist()
+        return {link.link_id: load for link, load in zip(table.links[1:], loads)}
 
     def active_flow_count(self) -> int:
         return len(self._flows)
@@ -338,19 +359,6 @@ class AllocationEngine:
         paths[:self._paths.shape[0]] = self._paths
         self._paths = paths
 
-    def _link_slot(self, link: Link) -> int:
-        """Engine index of ``link``, indexing it on first sight."""
-        index = self._link_index.get(link.link_id)
-        if index is None:
-            index = self._link_index[link.link_id] = len(self._links)
-            self._links.append(link)
-            if index == self._capacity.shape[0]:
-                self._capacity = np.resize(self._capacity, 2 * index)
-                self._touched = np.resize(self._touched, 2 * index)
-            self._capacity[index] = link.capacity_mbps
-            self._touched[index] = False
-        return index
-
     def _write_path(self, row: int, path: List[Link]) -> None:
         """Store ``path`` as table row ``row``, widening the matrix if needed."""
         if len(path) > self._paths.shape[1]:
@@ -358,7 +366,8 @@ class AllocationEngine:
             paths[:, :self._paths.shape[1]] = self._paths
             self._paths = paths
         self._paths[row] = NO_LINK
-        self._paths[row, :len(path)] = [self._link_slot(link) for link in path]
+        slot = self.link_table.slot
+        self._paths[row, :len(path)] = [slot(link) for link in path]
 
     def _leave_path(self, row: int) -> None:
         """Take row ``row`` off its links; a loaded flow moves their load."""
@@ -366,37 +375,37 @@ class AllocationEngine:
         if path[0] == NO_LINK:
             return
         if self._values[_RATE, row] != 0.0:  # simlint: ignore[float-eq] -- exact sentinel, never arithmetic
-            self._touched[path] = True
+            self.link_table.touched[path] = True
         # The survivors on these links may now speed up.
         self._dirty = True
 
-    def _refresh_changed_loads(self, n: int) -> Set[str]:
+    def _refresh_changed_loads(self, n: int) -> npt.NDArray[np.intp]:
         """Derive each touched link's load from its members' rates.
 
-        This is the only writer of :attr:`link_loads`.  Every link's
-        members are summed sequentially in sorted flow-ID order (as the
-        Python ``sum`` over ``sorted(member_ids)`` would), which makes
-        the loads exact and run-to-run deterministic.  Returns the
-        touched links and clears the marks.
+        This is the only writer of the link table's load column.  Every
+        link's members are summed sequentially in sorted flow-ID order
+        (as the Python ``sum`` over ``sorted(member_ids)`` would), which
+        makes the loads exact and run-to-run deterministic.  Returns the
+        touched rows and clears the marks.
         """
-        links = self._links
-        touched = self._touched[:len(links)]
+        table = self.link_table
+        touched = table.touched
         touched[NO_LINK] = False
         indices = touched.nonzero()[0]
         if not indices.size:
-            return set()
+            return indices
         touched[indices] = False
         by_id = np.empty(n, dtype=np.intp)
         by_id[self._rank[:n]] = np.arange(n)
-        loads = np.zeros(touched.shape[0])
-        np.add.at(
-            loads,
+        # bincount adds each weight into its bin in input order, from
+        # zero: the same sequential sums as np.add.at into zeros.
+        loads = np.bincount(
             self._paths[by_id].ravel(),
-            np.repeat(self._values[_RATE, by_id], self._paths.shape[1]),
+            weights=np.repeat(self._values[_RATE, by_id], self._paths.shape[1]),
+            minlength=len(table),
         )
-        link_ids = [links[index].link_id for index in indices.tolist()]
-        self.link_loads.update(zip(link_ids, loads[indices].tolist()))
-        return set(link_ids)
+        table.load[indices] = loads[indices]
+        return indices
 
     def check_consistency(self, flows: Iterable[Flow]) -> None:
         """Assert the table matches ``flows`` after a solve (test/debug helper).
@@ -405,9 +414,13 @@ class AllocationEngine:
         skipped).  Checks, all with ``==``: that the table rows are those
         flows in that order; that each row's weight, demand, rate,
         remaining volume and path equal the flow's attributes; that the
-        sorted-ID list is ``sorted(ids)`` and the ranks index it; that
-        the capacities equal the links'; and that every link's load
-        equals its members' rates summed in sorted member order.
+        sorted-ID list is ``sorted(ids)`` and the ranks index it.  On
+        the link table: that the index maps every link ID to its row;
+        that the capacities equal the links'; that every link's load
+        equals its members' rates summed in sorted member order; that no
+        touched mark survives the solve; and that the padding row is
+        empty and every row's integrals are non-negative, with busy time
+        at most the observed time.
         """
         expected = [flow for flow in flows if not flow.done]
         ids = [flow.flow_id for flow in expected]
@@ -431,7 +444,15 @@ class AllocationEngine:
             table = self._values[column, :n].tolist()
             if table != attribute:
                 raise AssertionError(f"{name} drift: table={table} flows={attribute}")
-        links = self._links
+        link_table = self.link_table
+        links = link_table.links
+        size = len(links)
+        if link_table.index != {links[row].link_id: row for row in range(1, size)}:
+            raise AssertionError(f"link index drift: {link_table.index}")
+        carried, busy = link_table.mbit_carried, link_table.busy_seconds
+        link_columns = (link_table.capacity, link_table.load, link_table.touched, carried, busy)
+        if any(column.shape != (size,) for column in link_columns):
+            raise AssertionError(f"link column lengths drift from {size} links")
         members: Dict[str, List[str]] = {}
         for row, flow in enumerate(expected):
             path = [links[i] for i in self._paths[row].tolist() if i != NO_LINK]
@@ -440,13 +461,21 @@ class AllocationEngine:
             for link in flow.path:
                 members.setdefault(link.link_id, []).append(flow.flow_id)
         capacities = [link.capacity_mbps for link in links]
-        if self._capacity[:len(links)].tolist() != capacities:
+        if link_table.capacity.tolist() != capacities:
             raise AssertionError(f"capacity drift: {capacities}")
         rate_of = {flow.flow_id: flow.rate_mbps for flow in expected}
-        for link_id in sorted(set(members) | set(self.link_loads)):
+        loads = self.link_loads
+        for link_id in sorted(loads):
             load = sum(rate_of[flow_id] for flow_id in sorted(members.get(link_id, ())))
-            tracked_load = self.link_loads.get(link_id, 0.0)
-            if tracked_load != load:
+            if loads[link_id] != load:
                 raise AssertionError(
-                    f"link {link_id}: tracked load {tracked_load} != recomputed {load}"
+                    f"link {link_id}: tracked load {loads[link_id]} != recomputed {load}"
                 )
+        if link_table.touched.any():
+            raise AssertionError(f"touched marks left: {link_table.touched.nonzero()[0]}")
+        if link_table.load[NO_LINK] or carried[NO_LINK] or busy[NO_LINK]:
+            raise AssertionError("padding link row is not empty")
+        if (carried < 0).any() or (busy < 0).any() or (busy > link_table.observed_seconds).any():
+            raise AssertionError(
+                f"link integrals out of range: carried={carried.tolist()} busy={busy.tolist()}"
+            )

@@ -3,12 +3,17 @@
 :class:`FluidNetwork` binds a topology to a simulator.  Transfers and
 persistent streams become :class:`~repro.network.flows.Flow` objects;
 whenever the flow set, a demand, or a link capacity changes the network
-tells its :class:`~repro.network.allocator.AllocationEngine`, which
-re-solves every flow in one max-min pass; the network then updates
-link statistics for the links whose load moved and reschedules the
-next completion event.  Between changes all flows progress fluidly at
-constant rates, so the simulation cost scales with the number of
-changes, not with transferred bytes.
+tells its :class:`~repro.network.allocator.AllocationEngine` and marks
+its rates stale.  Once per simulated instant with a change -- after the
+instant's last event (:meth:`Simulator.at_instant_end`) -- the network
+*settles*: the engine re-solves every flow in one max-min pass, writing
+the link loads that moved, and the next completion is rescheduled.
+Every read of a rate or a load settles first, so no reader sees a
+stale value.  Rates never act within an instant (flows progress only
+as the clock moves), so one solve per instant gives exactly the rates,
+loads and completion times of a solve per change.  Between changes all
+flows progress fluidly at constant rates, so the simulation cost
+scales with the number of changed instants, not with transferred bytes.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ class Transfer:
 
     @property
     def rate_mbps(self) -> float:
+        self.network._settle()
         return self.flow.rate_mbps
 
     @property
@@ -110,7 +116,7 @@ class FluidNetwork:
         self.sim = sim
         self.topology = topology
         self.router = Router(topology)
-        self.engine = AllocationEngine()
+        self.engine = AllocationEngine(topology.links())
         # flow_id -> handle of every active flow, in start order (which
         # fixes completion and rerouting order).
         self._transfers: Dict[str, Transfer] = {}
@@ -118,10 +124,14 @@ class FluidNetwork:
         self._split_policy: Dict[str, _SplitState] = {}
         self._flow_counter = itertools.count()
         self._epoch = 0
-        self._completion_scheduled = False
+        # Set by every change until the next settle; the clock time
+        # flows and link integrals were last brought up to.
+        self._stale = False
+        self._synced_at = -math.inf
+        table = self.engine.link_table
+        table.settle = self._settle
         self.link_stats: Dict[str, LinkStats] = {
-            link.link_id: LinkStats(link.link_id, link.capacity_mbps)
-            for link in topology.links()
+            link.link_id: table.stats(link.link_id) for link in topology.links()
         }
         self.completed_transfers = 0
 
@@ -186,7 +196,7 @@ class FluidNetwork:
         flow.finished_at = self.sim.now
         self._transfers.pop(flow.flow_id, None)
         self.engine.remove_flow(flow)
-        self._reallocate()
+        self._changed()
 
     def set_demand(self, transfer: Transfer, demand_mbps: float) -> None:
         """Change a flow's rate cap (e.g. a player switching bitrate)."""
@@ -197,7 +207,7 @@ class FluidNetwork:
         self._sync_to_now()
         transfer.flow.demand_mbps = demand_mbps
         self.engine.invalidate()
-        self._reallocate()
+        self._changed()
 
     def set_weight(self, transfer: Transfer, weight: float) -> None:
         """Change a flow's fair-share weight (e.g. a cohort's head count)."""
@@ -208,7 +218,7 @@ class FluidNetwork:
         self._sync_to_now()
         transfer.flow.weight = weight
         self.engine.invalidate()
-        self._reallocate()
+        self._changed()
 
     def update_streams(
         self,
@@ -217,10 +227,10 @@ class FluidNetwork:
         """Apply many ``(transfer, demand, weight)`` changes in one solve.
 
         ``weight`` may be ``None`` to leave a flow's weight unchanged.
-        Routing each change through :meth:`set_demand` would trigger one
-        reallocation per flow; the cohort engine updates every cohort
-        stream once per tick, so batching keeps that tick at a single
-        solve.
+        Routing each change through :meth:`set_demand` would re-read
+        every demand and weight once per flow; the cohort engine updates
+        every cohort stream once per tick, so batching keeps that tick
+        at a single table pass.
         """
         self._sync_to_now()
         dirty = False
@@ -240,7 +250,7 @@ class FluidNetwork:
             dirty = True
         if dirty:
             self.engine.invalidate()
-            self._reallocate()
+            self._changed()
 
     def reroute(
         self,
@@ -254,7 +264,7 @@ class FluidNetwork:
             return
         self._sync_to_now()
         self.engine.set_path(flow, self._resolve_path(flow.src, flow.dst, via, path))
-        self._reallocate()
+        self._changed()
 
     def set_link_capacity(self, link_id: str, capacity_mbps: float) -> None:
         """Change a link's capacity and reallocate (failures, energy saving)."""
@@ -262,9 +272,8 @@ class FluidNetwork:
             raise ValueError(f"capacity must be positive, got {capacity_mbps!r}")
         self._sync_to_now()
         self.topology.link(link_id).capacity_mbps = capacity_mbps
-        self.link_stats[link_id].capacity_mbps = capacity_mbps
         self.engine.invalidate()
-        self._reallocate()
+        self._changed()
 
     def set_via_policy(self, owner: str, via: Optional[str]) -> None:
         """Route all traffic of ``owner`` through node ``via``.
@@ -281,14 +290,15 @@ class FluidNetwork:
             self._via_policy[owner] = via
         rerouted = False
         self._sync_to_now()
-        for flow in self.active_flows():
+        for transfer in self._transfers.values():
+            flow = transfer.flow
             if flow.owner == owner:
                 self.engine.set_path(
                     flow, self._resolve_path(flow.src, flow.dst, via, None)
                 )
                 rerouted = True
         if rerouted:
-            self._reallocate()
+            self._changed()
 
     def set_split_policy(self, owner: str, weights: Dict[str, float]) -> None:
         """Split ``owner`` traffic across several via nodes by weight.
@@ -314,7 +324,11 @@ class FluidNetwork:
         self._via_policy.pop(owner, None)
         self._split_policy[owner] = _SplitState(weights=normalized)
         self._sync_to_now()
-        flows = [flow for flow in self.active_flows() if flow.owner == owner]
+        flows = [
+            transfer.flow
+            for transfer in self._transfers.values()
+            if transfer.flow.owner == owner
+        ]
         if flows:
             state = self._split_policy[owner]
             state.assigned = {via: 0 for via in normalized}
@@ -323,7 +337,7 @@ class FluidNetwork:
                 self.engine.set_path(
                     flow, self._resolve_path(flow.src, flow.dst, via, None)
                 )
-            self._reallocate()
+            self._changed()
 
     def via_policy(self, owner: str) -> Optional[str]:
         """The via-node currently programmed for ``owner`` traffic."""
@@ -343,23 +357,27 @@ class FluidNetwork:
         ]
 
     def active_flows(self) -> List[Flow]:
+        """Every active flow, in start order, with settled rates."""
+        self._settle()
         return [transfer.flow for transfer in self._transfers.values()]
 
     def sync(self) -> None:
-        """Bring flow progress and link-time integrals up to ``sim.now``.
+        """Bring flow progress and link-time integrals up to ``sim.now``, settled.
 
         Rates only change at flow events, so the simulator does not
         advance these integrals during idle stretches; call this before
-        reading time-averaged link statistics.
+        reading time-averaged link statistics.  The kernel also calls it
+        at the end of every instant with a change (see :meth:`_changed`).
         """
         self._sync_to_now()
+        self._settle()
 
     def link_load_mbps(self, link_id: str) -> float:
-        self._sync_to_now()
+        self.sync()
         return self.link_stats[link_id].current_load_mbps
 
     def link_utilization(self, link_id: str) -> float:
-        self._sync_to_now()
+        self.sync()
         return self.link_stats[link_id].utilization
 
     def path_rtt_ms(self, src: str, dst: str, via: Optional[str] = None) -> float:
@@ -413,7 +431,7 @@ class FluidNetwork:
         if size_mbit is not None and size_mbit <= _EPS:
             # Zero-size transfers complete immediately.
             self._complete(transfer)
-        self._reallocate()
+        self._changed()
         return transfer
 
     def _resolve_path(
@@ -434,24 +452,32 @@ class FluidNetwork:
     def _sync_to_now(self) -> None:
         """Progress all flows and link integrals to the current instant."""
         now = self.sim.now
-        for stats in self.link_stats.values():
-            stats.advance(now)
+        if now == self._synced_at:
+            return
+        self._synced_at = now
+        self.engine.link_table.advance(now)
         self.engine.progress(now)
 
-    def _reallocate(self) -> None:
-        """Re-solve rates and reschedule the next completion.
+    def _changed(self) -> None:
+        """Mark rates stale; they settle when the current instant ends.
 
         Callers must have already called :meth:`_sync_to_now` and routed
-        their state change through the engine's mutation methods; the
-        engine then recomputes every rate and reports which link loads
-        moved.
+        their state change through the engine's mutation methods.
         """
-        result = self.engine.solve()
-        for link_id in result.changed_links:
-            self.link_stats[link_id].set_load(
-                self.engine.link_loads.get(link_id, 0.0)
-            )
-        self._schedule_next_completion()
+        if not self._stale:
+            self._stale = True
+            self.sim.at_instant_end(self.sync)
+
+    def _settle(self) -> None:
+        """Re-solve stale rates and reschedule the next completion.
+
+        The engine recomputes every rate and writes the link loads that
+        moved into its link table.
+        """
+        if self._stale:
+            self._stale = False
+            self.engine.solve()
+            self._schedule_next_completion()
 
     def _schedule_next_completion(self) -> None:
         self._epoch += 1
@@ -462,11 +488,12 @@ class FluidNetwork:
 
     def _on_completion_event(self, epoch: int) -> None:
         if epoch != self._epoch:
-            return  # superseded by a later reallocation
+            return  # superseded by a later settle
         self._sync_to_now()
         for flow in self.engine.finished_flows():
             self._complete(self._transfers[flow.flow_id])
-        self._reallocate()
+        # Also with nothing finished: the settle schedules the next check.
+        self._changed()
 
     def _complete(self, transfer: Transfer) -> None:
         flow = transfer.flow
@@ -477,6 +504,6 @@ class FluidNetwork:
         self.engine.remove_flow(flow)
         self.completed_transfers += 1
         if transfer.on_complete is not None:
-            # Fire via the event queue so completion callbacks observe a
-            # consistent network state (rates already reallocated).
+            # Fire via the event queue, after the instant's other
+            # completions, so callbacks see every flow that finished now.
             self.sim.call_soon(transfer.on_complete, transfer)

@@ -16,10 +16,13 @@ keeps alive across solves); :func:`max_min_allocation` builds such a
 table once from :class:`Flow` objects for stateless callers.
 
 Every operation is either elementwise float64 arithmetic or a minimum,
-both exact, or a sequential sum in a fixed order (``np.add.at`` /
-``np.subtract.at`` visit their indices in order; ``np.sum`` adds
-pairwise and is never used).  So the rates are a pure function of the
-table's contents and row order, bit for bit.
+both exact, or a sequential sum in a fixed order (``np.bincount`` adds
+its weights in input order from zero, ``np.subtract.at`` visits its
+indices in order; ``np.sum`` adds pairwise and is never used).  So the
+rates are a pure function of the table's contents and row order, bit
+for bit, and do not depend on how the links are numbered.  Reductions
+call the ufunc's ``reduce`` directly, skipping the Python wrappers
+behind ``ndarray.min``/``ndarray.any``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ import numpy.typing as npt
 from repro.network.flows import Flow
 
 _EPS = 1e-9
+
+_min_of = np.minimum.reduce
+_any_of = np.logical_or.reduce
 
 #: Link index of the padding column in a path matrix.  Its capacity is
 #: ``inf``, so it never bounds the water level and never saturates.
@@ -72,8 +78,11 @@ def water_fill(
     # ``link_weight`` is the total weight of unfrozen flows crossing each
     # link, so a per-unit-weight increment ``delta`` consumes
     # ``delta * link_weight`` of its remaining capacity.
-    link_weight = np.zeros(capacity.shape[0])
-    np.add.at(link_weight, act_paths.ravel(), np.repeat(act_weight, width))
+    link_weight = np.bincount(
+        act_paths.ravel(),
+        weights=np.repeat(act_weight, width),
+        minlength=capacity.shape[0],
+    )
     remaining = capacity.copy()
     level = np.zeros(active.size)
     ceiling = act_demand - _EPS
@@ -83,8 +92,8 @@ def water_fill(
         # or a flow hits its demand cap.
         loaded = (link_weight > _EPS).nonzero()[0]
         delta = min(
-            float((remaining[loaded] / link_weight[loaded]).min(initial=math.inf)),
-            float(((act_demand - level) / act_weight).min()),
+            float(_min_of(remaining[loaded] / link_weight[loaded], initial=math.inf)),
+            float(_min_of((act_demand - level) / act_weight)),
         )
         if not math.isfinite(delta):
             # Only infinite-demand flows on unconstrained links remain;
@@ -101,7 +110,7 @@ def water_fill(
         if full.size:
             saturated = np.zeros(remaining.shape[0], dtype=np.bool_)
             saturated[full] = True
-            frozen |= saturated[act_paths].any(axis=1)
+            frozen |= _any_of(saturated[act_paths], axis=1)
         done = frozen.nonzero()[0]
         if not done.size or done.size == active.size:
             # Every flow froze -- or none did, a numerical stall: freeze

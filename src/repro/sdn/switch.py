@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.network.fluidsim import FluidNetwork
+from repro.network.linkstats import LinkStats
 from repro.sdn.flowtable import FlowTable, TableEntry
 from repro.sdn.messages import (
     FlowMod,
@@ -29,6 +30,10 @@ class Switch:
         self.network = network
         self.table = FlowTable()
         self._removed_log: List[FlowRemoved] = []
+        # Stats of this node's outgoing links in topology order, rebuilt
+        # when the topology's structure changes (as Router's cache is).
+        self._ports: List[LinkStats] = []
+        self._ports_version = -1
 
     def handle_flow_mod(self, mod: FlowMod) -> None:
         """Apply a FlowMod from the controller."""
@@ -59,20 +64,28 @@ class Switch:
 
     def stats_reply(self, now: float) -> StatsReply:
         """Current counters for every outgoing link of this node."""
-        ports = []
-        for link in self.network.topology.links():
-            if link.src != self.node_id:
-                continue
-            stats = self.network.link_stats[link.link_id]
-            ports.append(
-                PortStats(
-                    link_id=link.link_id,
-                    load_mbps=stats.current_load_mbps,
-                    capacity_mbps=stats.capacity_mbps,
-                    mbit_carried=stats.mbit_carried,
-                )
+        ports = tuple(
+            PortStats(
+                link_id=stats.link_id,
+                load_mbps=stats.current_load_mbps,
+                capacity_mbps=stats.capacity_mbps,
+                mbit_carried=stats.mbit_carried,
             )
-        return StatsReply(switch_id=self.switch_id, time=now, ports=tuple(ports))
+            for stats in self._outgoing()
+        )
+        return StatsReply(switch_id=self.switch_id, time=now, ports=ports)
+
+    def _outgoing(self) -> List[LinkStats]:
+        topology = self.network.topology
+        if self._ports_version != topology.version:
+            link_stats = self.network.link_stats
+            self._ports = [
+                link_stats[link.link_id]
+                for link in topology.links()
+                if link.src == self.node_id
+            ]
+            self._ports_version = topology.version
+        return self._ports
 
     def drain_removed(self) -> List[FlowRemoved]:
         """FlowRemoved notifications since the last drain."""

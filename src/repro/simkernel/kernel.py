@@ -5,11 +5,15 @@ schedule callbacks with :meth:`Simulator.schedule` (relative delay) or
 :meth:`Simulator.schedule_at` (absolute time) and the main loop fires
 them in time order.  The simulator never advances time except by
 executing events, so the clock is exact and deterministic.
+
+:meth:`Simulator.at_instant_end` registers work that must see the
+outcome of every event at the current time, such as a network that
+re-solves its rates once per instant rather than once per change.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.simkernel.events import EventHandle, EventQueue
 from repro.simkernel.rngstreams import RngStreams
@@ -52,6 +56,7 @@ class Simulator:
         self._events_executed = 0
         self._running = False
         self._dispatch_hook: Optional[DispatchHook] = type(self).default_dispatch_hook
+        self._instant_end: List[Callable[[], Any]] = []
 
     @property
     def now(self) -> float:
@@ -94,6 +99,20 @@ class Simulator:
             )
         return self._queue.push(time, fn, args, priority)
 
+    def at_instant_end(self, fn: Callable[[], Any]) -> None:
+        """Call ``fn()`` once the current instant has no events left.
+
+        Registered callbacks run in registration order, after the last
+        event at the current time and before the clock moves or
+        :meth:`run` returns.  They are kernel bookkeeping, not events:
+        the dispatch hook never sees them and :attr:`events_executed`
+        does not count them.  Work they schedule at delay 0 runs in the
+        same instant, followed by any callbacks registered meanwhile.
+        A run stopped by ``max_events`` leaves them pending for the next
+        :meth:`run`.
+        """
+        self._instant_end.append(fn)
+
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Execute events in time order.
 
@@ -111,11 +130,18 @@ class Simulator:
         self._running = True
         executed = 0
         hook = self._dispatch_hook
+        instant_end = self._instant_end
         try:
             while True:
                 if max_events is not None and executed >= max_events:
                     break
                 next_time = self._queue.peek_time()
+                if instant_end and (next_time is None or next_time > self._now):
+                    callbacks = instant_end[:]
+                    instant_end.clear()
+                    for fn in callbacks:
+                        fn()
+                    continue
                 if next_time is None:
                     if until is not None:
                         self._now = max(self._now, until)

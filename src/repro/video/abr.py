@@ -42,7 +42,36 @@ class AbrContext:
         samples = [s for s in self.throughput_samples_mbps if s > 0]
         if not samples:
             return 0.0
+        return harmonic_mean(samples)
+
+
+def harmonic_mean(samples: List[float]) -> float:
+    """``statistics.harmonic_mean`` of positive samples, bit for bit.
+
+    The stdlib adds the rounded reciprocals ``1 / x`` exactly, as
+    ``Fraction``s, and rounds ``n / sum`` once.  Each finite reciprocal
+    is a float, so its ``as_integer_ratio`` denominator is a power of
+    two: the exact sum is an integer over the largest denominator, and
+    one int true division (correctly rounded) gives the same float.
+    Non-finite reciprocals and a zero sum go to the stdlib itself.
+    """
+    n = len(samples)
+    if n == 1:
+        return samples[0]
+    ratios = []
+    for sample in samples:
+        reciprocal = 1 / sample
+        if not math.isfinite(reciprocal):
+            return statistics.harmonic_mean(samples)
+        ratios.append(reciprocal.as_integer_ratio())
+    shift = max(denominator for _, denominator in ratios).bit_length() - 1
+    total = sum(
+        numerator << (shift + 1 - denominator.bit_length())
+        for numerator, denominator in ratios
+    )
+    if not total:
         return statistics.harmonic_mean(samples)
+    return (n << shift) / total
 
 
 class AbrAlgorithm(abc.ABC):

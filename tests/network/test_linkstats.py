@@ -2,37 +2,47 @@
 
 import pytest
 
-from repro.network.linkstats import CongestionDetector, LinkStats
+from repro.network.linkstats import CongestionDetector, LinkTable
+from repro.network.topology import Link
+
+
+def _one_link(capacity_mbps):
+    """A one-link table and the stats view of its link."""
+    table = LinkTable([Link("l", "a", "b", capacity_mbps=capacity_mbps)])
+    return table, table.stats("l")
 
 
 class TestLinkStats:
     def test_piecewise_integration(self):
-        stats = LinkStats("l", capacity_mbps=10.0)
-        stats.set_load(5.0)
-        stats.advance(2.0)   # 5 Mbps for 2 s -> 10 Mbit
-        stats.set_load(10.0)
-        stats.advance(3.0)   # 10 Mbps for 1 s -> 10 Mbit
+        table, stats = _one_link(10.0)
+        table.load[1] = 5.0
+        table.advance(2.0)   # 5 Mbps for 2 s -> 10 Mbit
+        table.load[1] = 10.0
+        table.advance(3.0)   # 10 Mbps for 1 s -> 10 Mbit
         assert stats.mbit_carried == pytest.approx(20.0)
         assert stats.mean_utilization == pytest.approx(20.0 / 30.0)
+        assert type(stats.mbit_carried) is float
 
     def test_busy_fraction(self):
-        stats = LinkStats("l", capacity_mbps=10.0)
-        stats.set_load(10.0)
-        stats.advance(1.0)
-        stats.set_load(1.0)
-        stats.advance(2.0)
+        table, stats = _one_link(10.0)
+        table.load[1] = 10.0
+        table.advance(1.0)
+        table.load[1] = 1.0
+        table.advance(2.0)
+        assert stats.busy_seconds == 1.0
         assert stats.congested_fraction == pytest.approx(0.5)
 
     def test_time_backwards_rejected(self):
-        stats = LinkStats("l", 10.0)
-        stats.advance(5.0)
+        table, _ = _one_link(10.0)
+        table.advance(5.0)
         with pytest.raises(ValueError):
-            stats.advance(4.0)
+            table.advance(4.0)
 
     def test_utilization_instantaneous(self):
-        stats = LinkStats("l", 10.0)
-        stats.set_load(2.5)
+        table, stats = _one_link(10.0)
+        table.load[1] = 2.5
         assert stats.utilization == 0.25
+        assert type(stats.current_load_mbps) is float
 
 
 class TestCongestionDetector:

@@ -64,6 +64,23 @@ class TestSwitch:
         assert port is not None
         assert port.load_mbps > 0
 
+    def test_stats_reply_ports_follow_topology_order(self, world):
+        sim, network, controller = world
+        for _ in range(2):  # the second pass reads the cached ports
+            for switch in controller.switches.values():
+                expected = [
+                    link.link_id
+                    for link in network.topology.links()
+                    if link.src == switch.node_id
+                ]
+                ports = switch.stats_reply(sim.now).ports
+                assert [port.link_id for port in ports] == expected
+        network.start_transfer("cdn", "client", 100.0, via="pC")
+        # The start is still pending in this instant: the reply settles it.
+        port = controller.switches["pC"].stats_reply(sim.now).port("pC->core")
+        assert port.load_mbps == 10.0
+        assert type(port.mbit_carried) is float
+
 
 class TestController:
     def test_only_owner_nodes_get_switches(self, world):

@@ -136,3 +136,103 @@ class TestDispatchHook:
         finally:
             Simulator.default_dispatch_hook = None
         assert seen == []
+
+
+class TestInstantEnd:
+    def test_runs_after_every_same_time_event(self, sim):
+        log = []
+
+        def first():
+            log.append("first")
+            sim.at_instant_end(lambda: log.append(("end", sim.now)))
+            # Queued by an earlier event at the same time: runs first.
+            sim.call_soon(log.append, "queued")
+
+        sim.schedule(1.0, first)
+        sim.schedule(1.0, log.append, "second")
+        sim.schedule(2.0, log.append, "later")
+        sim.run()
+        assert log == ["first", "second", "queued", ("end", 1.0), "later"]
+
+    def test_runs_once_in_registration_order(self, sim):
+        log = []
+        sim.schedule(1.0, sim.at_instant_end, lambda: log.append("a"))
+        sim.schedule(1.0, sim.at_instant_end, lambda: log.append("b"))
+        sim.run()
+        assert log == ["a", "b"]
+        sim.run()
+        assert log == ["a", "b"]
+
+    def test_runs_before_run_until_returns(self, sim):
+        log = []
+        sim.schedule(1.0, sim.at_instant_end, lambda: log.append(sim.now))
+        sim.schedule(9.0, log.append, "late")
+        assert sim.run(until=5.0) == 5.0
+        assert log == [1.0]
+
+    def test_registered_outside_run_runs_before_the_clock_moves(self, sim):
+        log = []
+        sim.at_instant_end(lambda: log.append(("end", sim.now)))
+        sim.schedule(0.0, log.append, "now")
+        sim.schedule(1.0, log.append, "later")
+        sim.run()
+        assert log == ["now", ("end", 0.0), "later"]
+
+    def test_runs_with_an_empty_queue(self, sim):
+        log = []
+        sim.at_instant_end(lambda: log.append(sim.now))
+        assert sim.run() == 0.0
+        assert log == [0.0]
+
+    def test_delay_zero_work_runs_in_the_same_instant(self, sim):
+        log = []
+
+        def settle():
+            log.append(("settle", sim.now))
+            sim.schedule(0.0, follow_up)
+
+        def follow_up():
+            log.append(("follow-up", sim.now))
+            sim.at_instant_end(lambda: log.append(("again", sim.now)))
+
+        sim.schedule(1.0, sim.at_instant_end, settle)
+        sim.schedule(2.0, log.append, "later")
+        sim.run()
+        assert log == [("settle", 1.0), ("follow-up", 1.0), ("again", 1.0), "later"]
+
+    def test_max_events_stop_leaves_it_pending(self, sim):
+        log = []
+
+        def event():
+            log.append("event")
+            sim.at_instant_end(lambda: log.append("end"))
+
+        sim.schedule(1.0, event)
+        sim.schedule(1.0, log.append, "second")
+        sim.run(max_events=1)
+        assert log == ["event"]
+        sim.run(max_events=1)
+        assert log == ["event", "second"]
+        sim.run(max_events=0)
+        assert log == ["event", "second"]
+        sim.run()
+        assert log == ["event", "second", "end"]
+
+    def test_not_counted_and_not_dispatched(self):
+        seen = []
+        Simulator.default_dispatch_hook = lambda now, fn, args: (seen.append(fn), fn(*args))
+        try:
+            sim = Simulator(seed=0)
+        finally:
+            Simulator.default_dispatch_hook = None
+        log = []
+
+        def end():
+            log.append("end")
+
+        sim.schedule(1.0, sim.at_instant_end, end)
+        sim.run()
+        assert log == ["end"]
+        assert sim.events_executed == 1
+        assert end not in seen and len(seen) == 1
+        assert sim.pending_events == 0

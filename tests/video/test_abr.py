@@ -1,9 +1,10 @@
 """ABR algorithms: selection logic and cap compliance."""
 
 import math
+import statistics
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.video.abr import (
     AbrContext,
@@ -11,6 +12,7 @@ from repro.video.abr import (
     BufferBasedAbr,
     FestiveAbr,
     RateBasedAbr,
+    harmonic_mean,
 )
 from repro.video.ladder import DEFAULT_LADDER
 
@@ -23,6 +25,33 @@ def _ctx(samples=(), buffer=10.0, last=None, cap=math.inf):
         last_bitrate_mbps=last,
         rate_cap_mbps=cap,
     )
+
+
+def _outcome(mean, samples):
+    try:
+        return mean(samples)
+    except (OverflowError, statistics.StatisticsError) as exc:
+        return type(exc)
+
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_subnormal=True)
+
+
+class TestHarmonicMean:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(_positive, st.floats(0.05, 200.0)), min_size=1, max_size=12))
+    @example([5e-324, 1.0])            # a reciprocal overflows to inf
+    @example([math.inf, math.inf])      # every reciprocal is 0
+    @example([1.7976931348623157e308, 1.7976931348623157e308])  # subnormal reciprocals
+    @example([3.0])
+    @example([8.0, 1.0, 2.5, 0.3])
+    def test_equals_the_stdlib_bit_for_bit(self, samples):
+        ours, stdlib = _outcome(harmonic_mean, samples), _outcome(statistics.harmonic_mean, samples)
+        assert ours == stdlib and type(ours) is type(stdlib), (ours, stdlib)
+
+    def test_estimate_uses_it(self):
+        samples = [8.0, 1.0, 2.5]
+        assert _ctx(samples=samples).throughput_estimate() == statistics.harmonic_mean(samples)
 
 
 class TestRateBased:
