@@ -27,6 +27,7 @@ from repro.network.flows import Flow, FlowState
 from repro.network.linkstats import LinkStats
 from repro.network.routing import Router
 from repro.network.topology import Link, Topology
+from repro.simkernel.events import EventHandle
 from repro.simkernel.kernel import Simulator
 
 _EPS = 1e-9
@@ -123,7 +124,8 @@ class FluidNetwork:
         self._via_policy: Dict[str, str] = {}
         self._split_policy: Dict[str, _SplitState] = {}
         self._flow_counter = itertools.count()
-        self._epoch = 0
+        # The pending completion check, cancelled when a settle moves it.
+        self._completion: Optional[EventHandle] = None
         # Set by every change until the next settle; the clock time
         # flows and link integrals were last brought up to.
         self._stale = False
@@ -480,15 +482,16 @@ class FluidNetwork:
             self._schedule_next_completion()
 
     def _schedule_next_completion(self) -> None:
-        self._epoch += 1
+        if self._completion is not None:
+            self._completion.cancel()
+            self._completion = None
         next_eta = self.engine.next_completion(self.sim.now)
         if math.isfinite(next_eta):
             delay = max(0.0, next_eta - self.sim.now)
-            self.sim.schedule(delay, self._on_completion_event, self._epoch)
+            self._completion = self.sim.schedule(delay, self._on_completion_event)
 
-    def _on_completion_event(self, epoch: int) -> None:
-        if epoch != self._epoch:
-            return  # superseded by a later settle
+    def _on_completion_event(self) -> None:
+        self._completion = None
         self._sync_to_now()
         for flow in self.engine.finished_flows():
             self._complete(self._transfers[flow.flow_id])

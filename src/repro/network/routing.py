@@ -1,17 +1,17 @@
 """Path computation over a :class:`~repro.network.topology.Topology`.
 
-The router computes delay-weighted shortest paths, k-shortest
-alternatives, and waypoint-constrained paths.  Waypoint routing is how
-the InfP's peering-point knob is expressed: "egress traffic for CDN X
-via peering point B" is a path constrained through node B (Figure 5 of
-the paper).
+The router computes delay-weighted shortest paths and
+waypoint-constrained paths over the topology's own adjacency.  Waypoint
+routing is how the InfP's peering-point knob is expressed: "egress
+traffic for CDN X via peering point B" is a path constrained through
+node B (Figure 5 of the paper).
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.network.topology import Topology
 
@@ -56,23 +56,6 @@ class Router:
         """
         return self._cached_path(src, dst, via=via)
 
-    def k_shortest_paths(self, src: str, dst: str, k: int) -> List[List[str]]:
-        """Up to ``k`` loop-free paths in increasing delay order."""
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k!r}")
-        generator = nx.shortest_simple_paths(
-            self.topology.graph, src, dst, weight="delay_ms"
-        )
-        paths: List[List[str]] = []
-        try:
-            for path in generator:
-                paths.append(path)
-                if len(paths) >= k:
-                    break
-        except nx.NetworkXNoPath as exc:
-            raise NoRouteError(f"no route {src!r}->{dst!r}") from exc
-        return paths
-
     def _cached_path(self, src: str, dst: str, via: Optional[str]) -> List[str]:
         if self._cached_version != self.topology.version:
             self.invalidate()
@@ -92,7 +75,62 @@ class Router:
         return list(path)
 
     def _shortest(self, src: str, dst: str) -> List[str]:
-        try:
-            return nx.shortest_path(self.topology.graph, src, dst, weight="delay_ms")
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise NoRouteError(f"no route {src!r}->{dst!r}") from exc
+        """Delay-weighted shortest path by bidirectional Dijkstra.
+
+        This follows networkx 3.6's ``bidirectional_dijkstra`` (what
+        ``nx.shortest_path`` runs for a weighted source-target query)
+        step for step, walking ``succ`` forward from ``src`` and
+        ``pred`` backward from ``dst``: the same alternation between
+        the two searches, the same heap tie-breaks and the same strict
+        relaxations, so paths of tied delay resolve the same way.
+        """
+        succ = self.topology.succ
+        if src not in succ or dst not in succ:
+            raise NoRouteError(f"no route {src!r}->{dst!r}")
+        if src == dst:
+            return [src]
+        # Index 0 is the forward search, index 1 the backward one.
+        neighbors = (succ, self.topology.pred)
+        dists: List[Dict[str, float]] = [{}, {}]  # final distances
+        preds: List[Dict[str, Optional[str]]] = [{src: None}, {dst: None}]
+        seen: List[Dict[str, float]] = [{src: 0.0}, {dst: 0.0}]
+        fringe: List[List[Tuple[float, int, str]]] = [[], []]
+        counter = itertools.count()
+        heapq.heappush(fringe[0], (0.0, next(counter), src))
+        heapq.heappush(fringe[1], (0.0, next(counter), dst))
+        final_dist: Optional[float] = None
+        meet: Optional[str] = None
+        direction = 1
+        while fringe[0] and fringe[1]:
+            direction = 1 - direction
+            dist, _, v = heapq.heappop(fringe[direction])
+            if v in dists[direction]:
+                continue  # already settled
+            dists[direction][v] = dist
+            if v in dists[1 - direction]:
+                # Settled from both ends: the best meeting node is final.
+                assert meet is not None
+                return _trace(preds[0], meet)[::-1] + _trace(preds[1], preds[1][meet])
+            for w, link in neighbors[direction][v].items():
+                length = dist + link.delay_ms
+                # A settled node cannot improve: delays are non-negative.
+                if w not in dists[direction] and (
+                    w not in seen[direction] or length < seen[direction][w]
+                ):
+                    seen[direction][w] = length
+                    heapq.heappush(fringe[direction], (length, next(counter), w))
+                    preds[direction][w] = v
+                    if w in seen[1 - direction]:
+                        through_w = length + seen[1 - direction][w]
+                        if final_dist is None or final_dist > through_w:
+                            final_dist, meet = through_w, w
+        raise NoRouteError(f"no route {src!r}->{dst!r}")
+
+
+def _trace(preds: Dict[str, Optional[str]], node: Optional[str]) -> List[str]:
+    """Follow ``preds`` from ``node`` back to its search's root."""
+    path: List[str] = []
+    while node is not None:
+        path.append(node)
+        node = preds[node]
+    return path

@@ -1,11 +1,12 @@
 """Topology model: nodes, capacitated links, and the graph around them.
 
-A :class:`Topology` is a thin, validated layer over a
-:class:`networkx.DiGraph`.  Links are directed (an access link's two
-directions are two links), carry a capacity in Mbit/s and a propagation
-delay in milliseconds, and can be tagged (e.g. ``"peering"``,
-``"access"``) so scenarios and controllers can find the links they care
-about without hard-coding IDs.
+A :class:`Topology` validates its nodes and links and keeps its own
+adjacency: :attr:`Topology.succ` and :attr:`Topology.pred` map each
+node to its neighbours and the link between them, in insertion order.
+Links are directed (an access link's two directions are two links),
+carry a capacity in Mbit/s and a propagation delay in milliseconds, and
+can be tagged (e.g. ``"peering"``, ``"access"``) so scenarios and
+controllers can find the links they care about without hard-coding IDs.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import enum
 import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
-
-import networkx as nx
 
 
 class NodeKind(enum.Enum):
@@ -84,13 +83,24 @@ class Link:
 
 
 class Topology:
-    """Validated container of nodes and links with graph queries."""
+    """Validated container of nodes and links with graph queries.
+
+    Attributes:
+        succ: ``succ[src][dst]`` is the link from ``src`` to ``dst``.
+        pred: ``pred[dst][src]`` is the same link, seen from ``dst``.
+
+    Both hold every node and list neighbours in the order their first
+    link was added.  A later link between the same pair replaces the
+    earlier one in place, keeping its position; the earlier link stays
+    in :meth:`links` but is no longer routed over.
+    """
 
     def __init__(self, name: str = "net") -> None:
         self.name = name
         self._nodes: Dict[str, Node] = {}
         self._links: Dict[str, Link] = {}
-        self._graph = nx.DiGraph()
+        self.succ: Dict[str, Dict[str, Link]] = {}
+        self.pred: Dict[str, Dict[str, Link]] = {}
         self._auto_link = itertools.count()
         self._version = 0
 
@@ -119,7 +129,8 @@ class Topology:
             raise ValueError(f"duplicate node id {node_id!r}")
         node = Node(node_id=node_id, kind=kind, owner=owner, tags=frozenset(tags))
         self._nodes[node_id] = node
-        self._graph.add_node(node_id)
+        self.succ[node_id] = {}
+        self.pred[node_id] = {}
         self._version += 1
         return node
 
@@ -153,7 +164,8 @@ class Topology:
             tags=frozenset(tags),
         )
         self._links[link_id] = link
-        self._graph.add_edge(src, dst, link_id=link_id, delay_ms=delay_ms)
+        self.succ[src][dst] = link
+        self.pred[dst][src] = link
         self._version += 1
         return link
 
@@ -174,10 +186,6 @@ class Topology:
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------
-    @property
-    def graph(self) -> nx.DiGraph:
-        return self._graph
-
     def node(self, node_id: str) -> Node:
         return self._nodes[node_id]
 
@@ -208,10 +216,10 @@ class Topology:
 
     def link_between(self, src: str, dst: str) -> Link:
         """The link from ``src`` to ``dst``; raises ``KeyError`` if absent."""
-        data = self._graph.get_edge_data(src, dst)
-        if data is None:
-            raise KeyError(f"no link {src!r}->{dst!r}")
-        return self._links[data["link_id"]]
+        try:
+            return self.succ[src][dst]
+        except KeyError:
+            raise KeyError(f"no link {src!r}->{dst!r}") from None
 
     def path_links(self, node_path: List[str]) -> List[Link]:
         """Translate a node path into the list of links it traverses."""

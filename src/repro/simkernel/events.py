@@ -3,7 +3,9 @@
 Events are ordered by ``(time, priority, sequence)``.  The sequence
 number breaks ties deterministically, so two runs with the same seed
 schedule identical histories -- a property the reproduction experiments
-rely on and the test suite checks.
+rely on and the test suite checks.  The queue's heap holds plain
+``(time, priority, seq, event)`` tuples, so every sift compares in C;
+``seq`` is unique, so the comparison never reaches the event.
 """
 
 from __future__ import annotations
@@ -58,18 +60,28 @@ class EventHandle:
         self._event.cancelled = True
 
 
+#: A heap entry: ``(time, priority, seq, event)``.
+Entry = Tuple[float, int, int, Event]
+
+
 class EventQueue:
-    """A heap of events ordered by (time, priority, insertion order)."""
+    """A heap of events ordered by (time, priority, insertion order).
+
+    Attributes:
+        heap: The :mod:`heapq` heap of :data:`Entry` tuples, cancelled
+            events included until they reach the head.  The simulator's
+            main loop reads and pops it directly.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self.heap: list[Entry] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for entry in self.heap if not entry[3].cancelled)
 
     def __bool__(self) -> bool:
-        return any(not event.cancelled for event in self._heap)
+        return any(not entry[3].cancelled for entry in self.heap)
 
     def push(
         self,
@@ -79,24 +91,26 @@ class EventQueue:
         priority: int = 0,
     ) -> EventHandle:
         """Schedule ``fn(*args)`` at ``time`` and return a handle."""
-        event = Event(time=time, priority=priority, seq=next(self._counter), fn=fn, args=args)
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time=time, priority=priority, seq=seq, fn=fn, args=args)
+        heapq.heappush(self.heap, (time, priority, seq, event))
         return EventHandle(event)
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if the queue is empty."""
         self._drop_cancelled_head()
-        if not self._heap:
+        if not self.heap:
             return None
-        return self._heap[0].time
+        return self.heap[0][0]
 
     def pop(self) -> Optional[Event]:
         """Remove and return the next live event, or ``None`` if empty."""
         self._drop_cancelled_head()
-        if not self._heap:
+        if not self.heap:
             return None
-        return heapq.heappop(self._heap)
+        return heapq.heappop(self.heap)[3]
 
     def _drop_cancelled_head(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        heap = self.heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)

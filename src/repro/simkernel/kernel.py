@@ -13,6 +13,7 @@ re-solves its rates once per instant rather than once per change.
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.simkernel.events import EventHandle, EventQueue
@@ -131,27 +132,28 @@ class Simulator:
         executed = 0
         hook = self._dispatch_hook
         instant_end = self._instant_end
+        heap = self._queue.heap
+        heappop = heapq.heappop
         try:
             while True:
                 if max_events is not None and executed >= max_events:
                     break
-                next_time = self._queue.peek_time()
-                if instant_end and (next_time is None or next_time > self._now):
+                while heap and heap[0][3].cancelled:
+                    heappop(heap)
+                if instant_end and (not heap or heap[0][0] > self._now):
                     callbacks = instant_end[:]
                     instant_end.clear()
                     for fn in callbacks:
                         fn()
                     continue
-                if next_time is None:
+                if not heap:
                     if until is not None:
                         self._now = max(self._now, until)
                     break
-                if until is not None and next_time > until:
+                if until is not None and heap[0][0] > until:
                     self._now = until
                     break
-                event = self._queue.pop()
-                assert event is not None
-                self._now = event.time
+                self._now, _, _, event = heappop(heap)
                 if hook is None:
                     event.fn(*event.args)
                 else:

@@ -43,6 +43,10 @@ FrameHandler = Callable[[str], str]
 #: streaming batches stay well under this.
 MAX_FRAME_BYTES = 4 * 1024 * 1024
 
+#: Largest single socket read of the client: the stream reader's default
+#: limit, below glibc's default 128 KiB mmap threshold.
+READ_CHUNK_BYTES = 64 * 1024
+
 
 class TcpGlassServer:
     """Serve a frame handler on a TCP port, pacing a sim between polls.
@@ -211,6 +215,11 @@ class TcpTransport(Transport):
             asyncio.open_connection(self.host, self.port, limit=MAX_FRAME_BYTES),
             self.connect_timeout_s,
         )
+        # asyncio's socket transport reads into a fresh 256 KiB buffer per
+        # recv(), for replies of a few hundred bytes.  In a client process
+        # without large imports that cost about two page faults per reply
+        # (10,260 vs 3,414 minor faults over 3,000 queries).
+        self._writer.transport.max_size = READ_CHUNK_BYTES  # type: ignore[attr-defined]
         self.reconnects += 1
 
     async def _roundtrip(self, frame: str) -> str:

@@ -1,4 +1,4 @@
-"""Router: shortest, via-constrained, and k-shortest paths."""
+"""Router: shortest and via-constrained paths."""
 
 import pytest
 
@@ -45,22 +45,6 @@ class TestVia:
     def test_via_equals_endpoint(self):
         router = Router(_diamond())
         assert router.path_via("a", "d", via="d") == ["a", "b", "d"]
-
-
-class TestKShortest:
-    def test_returns_in_delay_order(self):
-        router = Router(_diamond())
-        paths = router.k_shortest_paths("a", "d", k=2)
-        assert paths == [["a", "b", "d"], ["a", "c", "d"]]
-
-    def test_k_larger_than_available(self):
-        router = Router(_diamond())
-        assert len(router.k_shortest_paths("a", "d", k=10)) == 2
-
-    def test_k_non_positive_rejected(self):
-        router = Router(_diamond())
-        with pytest.raises(ValueError):
-            router.k_shortest_paths("a", "d", k=0)
 
 
 class TestCache:

@@ -18,7 +18,7 @@ from repro.transport import (
     TransportClosed,
     drain_trace,
 )
-from repro.transport.tcp import MAX_FRAME_BYTES
+from repro.transport.tcp import MAX_FRAME_BYTES, READ_CHUNK_BYTES
 
 
 @pytest.fixture
@@ -140,6 +140,26 @@ class TestFailure:
         transport.close()
         with pytest.raises(TransportClosed):
             transport.request("x", 1.0)
+
+
+class TestLargeFrames:
+    def test_reply_longer_than_one_read_arrives_whole(self):
+        bound = threading.Event()
+        server = TcpGlassServer(
+            lambda frame: frame[::-1], port=0, on_bound=lambda port: bound.set()
+        )
+        thread = threading.Thread(target=server.serve, daemon=True)
+        thread.start()
+        assert bound.wait(timeout=10.0), "server never bound a port"
+        frame = "".join(chr(ord("a") + i % 26) for i in range(5 * READ_CHUNK_BYTES + 17))
+        transport = TcpTransport(port=server.bound_port)
+        try:
+            assert transport.request(frame, 10.0) == frame[::-1]
+        finally:
+            transport.close()
+            server.stop()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
 
 
 class TestHostileFrames:
